@@ -83,9 +83,9 @@ let load_tables ~mode files =
       end)
     files
 
-let plan_spec_of_string plan =
-  match Plan.spec_of_string plan with
-  | Ok spec -> spec
+let filter_of_plan plan =
+  match Matching.Standard_match.filter_of_string plan with
+  | Ok filter -> filter
   | Error message -> cli_error usage_code "%s" message
 
 let make_config tau omega late select seed jobs timeout_ms plan =
@@ -106,7 +106,7 @@ let make_config tau omega late select seed jobs timeout_ms plan =
     seed;
     jobs;
     timeout_ms;
-    plan = plan_spec_of_string plan;
+    filter = filter_of_plan plan;
   }
 
 let algorithm_of_string = function
@@ -183,11 +183,11 @@ let run_match source_files target_files tau omega late select algorithm seed whe
     (List.length result.Ctxmatch.Context_match.standard)
     result.Ctxmatch.Context_match.candidate_view_count
     result.Ctxmatch.Context_match.elapsed_seconds;
-  (* only a non-default plan earns a summary line, so default-plan
-     output stays byte-identical to every earlier release *)
-  if config.Ctxmatch.Config.plan <> Plan.Default then
+  (* only a filtered run earns a summary line, so unfiltered output
+     stays byte-identical to every earlier release *)
+  if config.Ctxmatch.Config.filter <> None then
     Printf.printf "# plan %s: %d pairs scored, %d pruned\n"
-      result.Ctxmatch.Context_match.plan.Plan.plan_name
+      (Matching.Standard_match.filter_to_string config.Ctxmatch.Config.filter)
       result.Ctxmatch.Context_match.pairs_scored result.Ctxmatch.Context_match.pairs_pruned;
   (match store with
   | None -> ()
@@ -258,58 +258,6 @@ let map_cmd_run source_files target_files tau omega late select algorithm seed w
       Printf.printf "# wrote %s (%d rows)\n" path (Relational.Table.row_count table))
     (Relational.Database.tables mapped);
   obs_finish trace metrics profile
-
-(* -- explain-plan ------------------------------------------------------- *)
-
-(* Resolve the plan the given workload would run and print its operator
-   graph with per-operator pair counts and cost estimates.  Nothing is
-   matched unless --calibrate asks for a probe run to measure the
-   per-class scoring rates on this very workload. *)
-let explain_plan_cmd_run source_files target_files tau plan jobs mode calibrate =
-  let spec = plan_spec_of_string plan in
-  let source = Relational.Database.make "source" (load_tables ~mode source_files) in
-  let target = Relational.Database.make "target" (load_tables ~mode target_files) in
-  match_phase @@ fun () ->
-  let config =
-    let base = Ctxmatch.Config.default in
-    {
-      base with
-      Ctxmatch.Config.tau;
-      jobs = (if jobs <= 0 then base.Ctxmatch.Config.jobs else jobs);
-      plan = spec;
-    }
-  in
-  let shape = Ctxmatch.Context_match.shape_of ~source ~target in
-  let model =
-    if not calibrate then Plan.Cost.default
-    else begin
-      Obs.Recorder.enable ();
-      let infer = Ctxmatch.Context_match.infer_of `Src_class ~target in
-      ignore (Ctxmatch.Context_match.run ~config ~infer ~source ~target ());
-      let snap = Obs.Metrics.snapshot () in
-      (* kernel arena footprint and pruning effectiveness of the probe
-         run, next to the rates it calibrated *)
-      let c name = Obs.Metrics.counter_value snap name in
-      if c "kernel.arena.bytes" > 0 then
-        Printf.printf "# kernel arena: %d bytes, %d blocks\n" (c "kernel.arena.bytes")
-          (c "kernel.arena.blocks");
-      let bskips = c "kernel.topk.block_skips" and pskips = c "kernel.topk.posting_skips" in
-      if bskips > 0 || pskips > 0 then
-        Printf.printf "# kernel pruning: %d block skips, %d posting skips\n" bskips pskips;
-      let model = Plan.Cost.of_snapshot snap in
-      if c "plan.filter_probes" > 0 then
-        Printf.printf "# calibrated filter rate: %.0f ns/probe over %d probes\n"
-          model.Plan.Cost.ns_filter (c "plan.filter_probes");
-      model
-    end
-  in
-  let resolved =
-    Plan.resolve ~model ~shape ~gated:config.Ctxmatch.Config.gated_confidence
-      ~tau:config.Ctxmatch.Config.tau ~kernel:config.Ctxmatch.Config.kernel
-      ~matchers:(Matching.Matchers.plan_specs config.Ctxmatch.Config.matchers)
-      spec
-  in
-  print_string (Plan.explain ~model ~shape resolved)
 
 let demo_cmd_run scenario =
   match scenario with
@@ -619,12 +567,11 @@ let plan_arg =
     & info [ "plan" ] ~docv:"SPEC"
         ~doc:
           "Match plan: $(b,default) scores every (matcher, source, target) \
-           pair (the legacy pipeline, byte-identical output); \
-           $(b,filter[:K[,TAU]]) retrieves the top-$(b,K) q-gram candidate \
-           columns per textual source attribute (cosine >= TAU) and only \
-           scores those with the instance matchers; $(b,auto) picks \
-           whichever the cost model estimates cheaper.  See \
-           $(b,explain-plan).")
+           pair; $(b,filter[:K[,TAU]]) retrieves the top-$(b,K) (default \
+           16) q-gram candidate columns per textual source attribute \
+           (cosine >= TAU, default 0) and only scores those with the \
+           q-gram, word and value-overlap matchers.  A filtered run \
+           prints a $(b,# plan) line with the pairs scored and pruned.")
 
 let trace_arg =
   Arg.(
@@ -673,37 +620,6 @@ let map_cmd =
       $ select_arg $ algorithm_arg $ seed_arg $ where_arg $ jobs_arg $ mode_arg $ timeout_arg
       $ store_arg $ store_readonly_arg $ plan_arg $ trace_arg $ metrics_arg $ profile_arg
       $ out_dir_arg)
-
-let explain_plan_cmd =
-  let doc = "print the operator graph a match plan would execute" in
-  let man =
-    [
-      `S Manpage.s_description;
-      `P
-        "Resolves $(b,--plan) against the given source/target workload and \
-         prints the operator pipeline — profile, candidate filter, scoring \
-         stages, combine, prune, select — one numbered line per operator \
-         with estimated pair counts and cost, plus the rewrite rules that \
-         normalised the plan (e.g. hoisting the q-gram filter before the \
-         expensive instance matchers).  Estimates come from the shipped \
-         cost model; $(b,--calibrate) replaces the per-class scoring rates \
-         with ones measured by a probe matching run over this very \
-         workload.  Nothing else is executed and no matches are printed.";
-    ]
-  in
-  let calibrate =
-    Arg.(
-      value & flag
-      & info [ "calibrate" ]
-          ~doc:
-            "Run one probe matching pass under the observability recorder \
-             and feed the measured per-matcher-class scoring rates into the \
-             cost model instead of the shipped defaults.")
-  in
-  Cmd.v (Cmd.info "explain-plan" ~doc ~man)
-    Term.(
-      const explain_plan_cmd_run $ source_arg $ target_arg $ tau_arg $ plan_arg $ jobs_arg
-      $ mode_arg $ calibrate)
 
 let demo_cmd =
   let doc = "run a built-in scenario (retail or grades)" in
@@ -873,7 +789,6 @@ let () =
            [
              match_cmd;
              map_cmd;
-             explain_plan_cmd;
              demo_cmd;
              serve_cmd;
              client_cmd;

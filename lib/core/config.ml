@@ -19,7 +19,7 @@ type t = {
   timeout_ms : int option;
   faults : Robust.Fault.arming list;
   kernel : bool;
-  plan : Plan.spec;
+  filter : Matching.Standard_match.filter option;
 }
 
 let default =
@@ -39,7 +39,7 @@ let default =
     timeout_ms = None;
     faults = [];
     kernel = true;
-    plan = Plan.Default;
+    filter = None;
   }
 
 let with_seed t seed = { t with seed }
@@ -50,4 +50,3 @@ let with_omega t omega = { t with omega }
 let early t = { t with early_disjuncts = true }
 let late t = { t with early_disjuncts = false }
 let with_kernel t kernel = { t with kernel }
-let with_plan t plan = { t with plan }

@@ -50,12 +50,10 @@ type t = {
           switch trades nothing but time, and exists for the kernel
           bench's baseline and for differential tests; see DESIGN.md,
           "Scoring kernel" *)
-  plan : Plan.spec;
-      (** operator graph for the StandardMatch phase (default
-          [Plan.Default], the legacy pipeline bit for bit).
-          [Plan.Filtered] inserts top-k q-gram candidate retrieval
-          before the filterable matchers; [Plan.Auto] picks by cost
-          model.  See DESIGN.md, "Match plans" *)
+  filter : Matching.Standard_match.filter option;
+      (** q-gram top-k candidate filter for the StandardMatch phase
+          (default [None]: every pair is scored).  See DESIGN.md,
+          "Candidate filter" *)
 }
 
 val default : t
@@ -68,4 +66,3 @@ val with_omega : t -> float -> t
 val early : t -> t
 val late : t -> t
 val with_kernel : t -> bool -> t
-val with_plan : t -> Plan.spec -> t

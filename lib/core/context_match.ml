@@ -11,44 +11,9 @@ type result = {
   cache_misses : int;
   profile_builds : int;
   issues : Robust.Error.t list;
-  plan : Plan.t;
   pairs_scored : int;
   pairs_pruned : int;
 }
-
-(* Workload shape for the plan cost model, from the schemas alone. *)
-let shape_of ~source ~target =
-  let count db =
-    List.fold_left
-      (fun (total, textual, numeric) tbl ->
-        Array.fold_left
-          (fun (total, textual, numeric) (attr : Attribute.t) ->
-            ( total + 1,
-              (textual + if Attribute.is_textual attr then 1 else 0),
-              (numeric + if Attribute.is_numeric attr then 1 else 0) ))
-          (total, textual, numeric)
-          (Schema.attributes (Table.schema tbl)))
-      (0, 0, 0) (Database.tables db)
-  in
-  let src_attrs, textual_src, numeric_src = count source in
-  let tgt_cols, textual_tgt, numeric_tgt = count target in
-  { Plan.Cost.src_attrs; tgt_cols; textual_src; textual_tgt; numeric_src; numeric_tgt }
-
-(* Resolve the config's plan spec against this run's workload.
-   [Default] maps to [None] so [Standard_match.build] constructs its
-   own default plan — the two are the same plan; this just keeps one
-   construction site. *)
-let resolve_plan config ~source ~target =
-  match config.Config.plan with
-  | Plan.Default -> None
-  | spec ->
-    Some
-      (Plan.resolve
-         ~shape:(shape_of ~source ~target)
-         ~gated:config.Config.gated_confidence ~tau:config.Config.tau
-         ~kernel:config.Config.kernel
-         ~matchers:(Matching.Matchers.plan_specs config.Config.matchers)
-         spec)
 
 (* Fault containment: every fan-out stage (StandardMatch build,
    candidate-view scoring) runs through the result-aware pool, so one
@@ -79,11 +44,10 @@ let run ?(config = Config.default) ?store ?prepared ?deadline ~infer ~source ~ta
   let jobs = config.Config.jobs in
   let pool = Runtime.Pool.get ~jobs in
   let rng = Stats.Rng.create config.Config.seed in
-  let plan = resolve_plan config ~source ~target in
   let model =
     Matching.Standard_match.build ~gated:config.Config.gated_confidence
       ~matchers:config.Config.matchers ~jobs ~report ~deadline ?store
-      ~kernel:config.Config.kernel ?prepared ?plan ~source ~target ()
+      ~kernel:config.Config.kernel ?prepared ?filter:config.Config.filter ~source ~target ()
   in
   (* Per-table chunks are prepended and concatenated once at the end:
      appending with [@] inside the loop would re-copy the accumulated
@@ -198,7 +162,6 @@ let run ?(config = Config.default) ?store ?prepared ?deadline ~infer ~source ~ta
     issues =
       (Robust.Report.issues report
       @ match store with Some s -> Store.issues s | None -> []);
-    plan = Matching.Standard_match.plan model;
     pairs_scored = Matching.Standard_match.pairs_scored model;
     pairs_pruned = Matching.Standard_match.pairs_pruned model;
   }

@@ -302,6 +302,7 @@ let words t =
 let warm_families ?pool cache table =
   let schema = Table.schema table in
   let tname = Table.name table in
+  let cond_attrs = Categorical.categorical_attributes table in
   let pairs =
     List.concat_map
       (fun cond_attr ->
@@ -314,7 +315,7 @@ let warm_families ?pool cache table =
               else if a.Attribute.ty = Value.Tint then Some (cond_attr, attr, `Int)
               else None)
           (Schema.attribute_names schema))
-      (Categorical.categorical_attributes table)
+      cond_attrs
   in
   (* Every composable per-group artefact is warmed — textual attrs get
      the family pack plus distinct/word slices, int attrs (whose view
@@ -356,6 +357,14 @@ let warm_families ?pool cache table =
         part.Profile_cache.part_indices
     with _ -> ()
   in
+  (* Every pair of a condition attribute shares its partition: build
+     each one here, once, before the fan-out.  Racing first touches from
+     several workers would otherwise build it twice, making
+     [cache.partition.builds] depend on the jobs count.  Best-effort,
+     like [warm_pair]. *)
+  List.iter
+    (fun cond_attr -> try ignore (Profile_cache.partition cache ~table ~cond_attr) with _ -> ())
+    cond_attrs;
   match pool with
   | Some pool -> ignore (Runtime.Pool.map_list pool warm_pair pairs)
   | None -> List.iter warm_pair pairs

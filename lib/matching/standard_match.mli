@@ -13,6 +13,22 @@ open Relational
 
 type model
 
+type filter = { k : int; tau : float }
+(** Q-gram top-k candidate filter: each textual source attribute keeps
+    at most [k] textual target columns with raw q-gram cosine >= [tau],
+    and the {!Matchers.filterable} matchers score their textual pairs
+    only against those survivors. *)
+
+val filter_of_string : string -> (filter option, string) result
+(** Parse a plan spec: [default] or [legacy] (no filter), [filter]
+    (K = 16, TAU = 0), [filter:K] or [filter:K,TAU] with K > 0 and TAU
+    in [0,1].  The error message names the accepted grammar. *)
+
+val filter_to_string : filter option -> string
+(** Inverse of {!filter_of_string}: [default], [filter:K], or
+    [filter:K,TAU] when TAU is non-zero, with TAU printed so that it
+    reads back as the same float. *)
+
 type prepared_target
 (** Immutable target-side artefact of {!build}: warmed target columns,
     their (table, attr) index, the target profile cache and the frozen
@@ -88,7 +104,7 @@ val build :
   ?store:Store.t ->
   ?kernel:bool ->
   ?prepared:prepared_target ->
-  ?plan:Plan.t ->
+  ?filter:filter ->
   source:Database.t ->
   target:Database.t ->
   unit ->
@@ -135,17 +151,14 @@ val build :
     cost moves (to registration time, once).  [kernel:false] ignores a
     prepared kernel for this build without affecting any score.
 
-    [plan] is the operator graph to execute (see {!Plan}).  Omitted, it
-    defaults to {!Plan.default} over the given matchers — the legacy
-    hard-wired pipeline, bit for bit.  A plan with a [Filter] stage
-    retrieves top-k q-gram candidates per textual source attribute and
-    restricts {e filterable} matchers' textual pairs to the survivors
-    (filtered-out pairs keep a 0 in the normalisation distribution but
-    contribute no confidence, exactly like inapplicable pairs); its
-    results are invariant under the [kernel] switch, and with a
-    full-width [k] and a zero filter threshold it degenerates to the
-    default plan exactly.  Raises [Invalid_argument] if the plan's
-    matcher set differs from [matchers]. *)
+    [filter] (default none: every pair is scored) retrieves top-k q-gram
+    candidates per textual source attribute and restricts
+    {!Matchers.filterable} matchers' textual pairs to the survivors
+    (filtered-out pairs keep an exact 0.0 in the normalisation
+    distribution but contribute no confidence, exactly like
+    inapplicable pairs).  Filtered results are invariant under the
+    [kernel] switch and [jobs], and with a full-width [k] and [tau = 0]
+    the filter keeps every pair, bit for bit. *)
 
 val source : model -> Database.t
 val target : model -> Database.t
@@ -157,16 +170,13 @@ val kernel_enabled : model -> bool
 (** Whether the model holds a frozen {!Score_kernel} (built with
     [kernel:true] and at least one textual target column). *)
 
-val plan : model -> Plan.t
-(** The operator graph this model was built under. *)
-
 val pairs_scored : model -> int
 (** (matcher, source attribute, target column) scoring events actually
     performed; jobs-invariant. *)
 
 val pairs_pruned : model -> int
-(** Scoring events skipped by the plan's [Filter] stage (0 under the
-    default plan); jobs-invariant. *)
+(** Scoring events skipped by the candidate filter (0 without one);
+    jobs-invariant. *)
 
 val top_qgram_matches :
   model -> src_table:string -> src_attr:string -> k:int -> tau:float ->

@@ -1,16 +1,15 @@
-(* Match-plan suite.
+(* Candidate-filter suite.
 
-   The plan engine's central claims (DESIGN.md, "Match plans") are
-   (1) the default plan IS the legacy pipeline — not similar output,
-   byte-identical matches, standard matches and confidences — and
-   (2) a filter wide enough to keep every textual candidate degenerates
-   to the default exactly, kernel on or off, store warm or cold, for
-   every jobs value.  The differential tests here hold the engine to
-   both.  The rest covers the pieces those guarantees ride on: spec
-   parsing, rewrite-rule normal forms, cost-model monotonicity and
-   calibration, the serve daemon's plan surface, and the scoring-path
-   determinism regressions (exact top-k boundary ties, NaN containment
-   at Matcher.score, Simmetrics on empty inputs). *)
+   The filter's central claims (DESIGN.md, "Candidate filter") are
+   (1) a filter wide enough to keep every textual candidate degenerates
+   to the unfiltered run exactly — byte-identical matches, standard
+   matches and confidences — kernel on or off, store warm or cold, for
+   every jobs value, and (2) a narrow filter, under any threshold, is
+   kernel- and jobs-invariant, pairs accounting included.  The
+   differential tests here hold the filter to both.  The rest covers
+   plan-spec parsing, the serve daemon's plan surface, and the
+   scoring-path determinism regressions (exact top-k boundary ties, NaN
+   containment at Matcher.score, Simmetrics on empty inputs). *)
 
 open Relational
 
@@ -24,217 +23,38 @@ let in_temp_dir f =
 
 (* --- spec parsing ------------------------------------------------------ *)
 
+let filter k tau = Some { Matching.Standard_match.k; tau }
+
 let expect_spec input want =
-  match Plan.spec_of_string input with
+  match Matching.Standard_match.filter_of_string input with
   | Ok got -> Alcotest.(check bool) (Printf.sprintf "parse %S" input) true (got = want)
   | Error m -> Alcotest.failf "parse %S failed: %s" input m
 
 let expect_spec_error input =
-  match Plan.spec_of_string input with
+  match Matching.Standard_match.filter_of_string input with
   | Error _ -> ()
   | Ok _ -> Alcotest.failf "parse %S must fail" input
 
 let test_spec_parsing () =
-  expect_spec "default" Plan.Default;
-  expect_spec "legacy" Plan.Default;
-  expect_spec "auto" Plan.Auto;
-  expect_spec "Filter" (Plan.Filtered { k = Plan.default_k; tau = 0.0 });
-  expect_spec "filter:8" (Plan.Filtered { k = 8; tau = 0.0 });
-  expect_spec "filter:8,0.25" (Plan.Filtered { k = 8; tau = 0.25 });
-  expect_spec " filter:3 , 0.5 " (Plan.Filtered { k = 3; tau = 0.5 });
+  expect_spec "default" None;
+  expect_spec "legacy" None;
+  expect_spec "Filter" (filter 16 0.0);
+  expect_spec "filter:8" (filter 8 0.0);
+  expect_spec "filter:8,0.25" (filter 8 0.25);
+  expect_spec " filter:3 , 0.5 " (filter 3 0.5);
   List.iter expect_spec_error
-    [ ""; "nonsense"; "filter:0"; "filter:-2"; "filter:x"; "filter:4,1.5"; "filter:4,-0.1"; "filter:4,0.1,9" ];
+    [ ""; "nonsense"; "auto"; "filter:0"; "filter:-2"; "filter:x"; "filter:4,1.5"; "filter:4,-0.1";
+      "filter:4,0.1,9" ];
   (* to_string round-trips through of_string *)
   List.iter
     (fun spec ->
-      match Plan.spec_of_string (Plan.spec_to_string spec) with
+      let printed = Matching.Standard_match.filter_to_string spec in
+      match Matching.Standard_match.filter_of_string printed with
       | Ok got -> Alcotest.(check bool) "roundtrip" true (got = spec)
-      | Error m -> Alcotest.failf "roundtrip %s: %s" (Plan.spec_to_string spec) m)
-    [ Plan.Default; Plan.Auto; Plan.Filtered { k = 7; tau = 0.0 }; Plan.Filtered { k = 5; tau = 0.3 } ]
+      | Error m -> Alcotest.failf "roundtrip %s: %s" printed m)
+    [ None; filter 7 0.0; filter 5 0.3; filter 2 0.123456789; filter 1 (1.0 /. 3.0) ]
 
-(* --- rewrite rules ------------------------------------------------------ *)
-
-let spec ?(cls = Plan.Op.Instance) ?(filterable = false) ?(applies = Plan.Op.All) name =
-  {
-    Plan.Op.m_name = name;
-    m_weight = 1.0;
-    m_kernel = false;
-    m_filterable = filterable;
-    m_class = cls;
-    m_applies = applies;
-  }
-
-let profile_src = Plan.Op.Profile { side = `Source }
-let profile_tgt = Plan.Op.Profile { side = `Target }
-let a_filter = Plan.Op.Filter { k = 4; tau = 0.0 }
-
-let test_rewrite_filter_before_score () =
-  let score = Plan.Op.Score { matchers = [ spec "w" ] } in
-  let ops = [ profile_src; profile_tgt; score; a_filter ] in
-  (match Plan.Rewrite.filter_before_score.Plan.Rewrite.apply ops with
-  | Some [ p1; p2; f; s ] ->
-    Alcotest.(check bool) "profiles untouched" true (p1 = profile_src && p2 = profile_tgt);
-    Alcotest.(check bool) "filter hoisted" true (f = a_filter);
-    Alcotest.(check bool) "score after filter" true (s = score)
-  | Some _ -> Alcotest.fail "unexpected shape after hoist"
-  | None -> Alcotest.fail "rule must fire");
-  (* already-normal plans are left alone: the rule declines *)
-  Alcotest.(check bool) "normal form declines" true
-    (Plan.Rewrite.filter_before_score.Plan.Rewrite.apply
-       [ profile_src; profile_tgt; a_filter; score ]
-    = None)
-
-let test_rewrite_fuse_scores () =
-  let s1 = Plan.Op.Score { matchers = [ spec "a" ] } in
-  let s2 = Plan.Op.Score { matchers = [ spec "b"; spec "c" ] } in
-  match Plan.Rewrite.fuse_scores.Plan.Rewrite.apply [ profile_src; s1; s2 ] with
-  | Some [ _; Plan.Op.Score { matchers } ] ->
-    Alcotest.(check (list string)) "concatenated in order" [ "a"; "b"; "c" ]
-      (List.map (fun m -> m.Plan.Op.m_name) matchers)
-  | _ -> Alcotest.fail "adjacent scores must fuse into one"
-
-let test_rewrite_order_matchers () =
-  let score =
-    Plan.Op.Score
-      {
-        matchers =
-          [
-            spec ~cls:Plan.Op.Qgram "q";
-            spec ~cls:Plan.Op.Trivial "t";
-            spec ~cls:Plan.Op.Instance "i1";
-            spec ~cls:Plan.Op.Cheap "c";
-            spec ~cls:Plan.Op.Instance "i2";
-          ];
-      }
-  in
-  match Plan.Rewrite.order_matchers.Plan.Rewrite.apply [ score ] with
-  | Some [ Plan.Op.Score { matchers } ] ->
-    (* ascending class rank; the sort is stable so i1 stays before i2 *)
-    Alcotest.(check (list string)) "cheap-first, stable" [ "t"; "c"; "i1"; "i2"; "q" ]
-      (List.map (fun m -> m.Plan.Op.m_name) matchers)
-  | _ -> Alcotest.fail "order_matchers must fire"
-
-let test_rewrite_fixpoint_and_log () =
-  let matchers = [ spec ~cls:Plan.Op.Qgram ~filterable:true "q"; spec ~cls:Plan.Op.Trivial "t" ] in
-  let p = Plan.filtered ~k:4 ~matchers () in
-  (* normal form: filter sits before the single fused score stage, and
-     the log records the normalisation *)
-  let fi = ref (-1) and si = ref (-1) in
-  List.iteri
-    (fun i op ->
-      match op with
-      | Plan.Op.Filter _ when !fi < 0 -> fi := i
-      | Plan.Op.Score _ when !si < 0 -> si := i
-      | _ -> ())
-    p.Plan.ops;
-  Alcotest.(check bool) "has filter and score" true (!fi >= 0 && !si >= 0);
-  Alcotest.(check bool) "filter precedes score" true (!fi < !si);
-  Alcotest.(check bool) "hoist logged" true (List.mem "filter-before-score" p.Plan.rewrites);
-  Alcotest.(check bool) "ordering logged" true (List.mem "order-matchers" p.Plan.rewrites);
-  (* a second normalisation pass is a no-op: already at fixpoint *)
-  let again, fired = Plan.Rewrite.apply_fixpoint Plan.Rewrite.default_rules p.Plan.ops in
-  Alcotest.(check bool) "fixpoint reached" true (again = p.Plan.ops && fired = []);
-  (* the default plan is already in normal form *)
-  let d = Plan.default ~matchers () in
-  Alcotest.(check (list string)) "default rewrites empty" [] d.Plan.rewrites
-
-let test_validate_rejects_mismatch () =
-  let matchers = [ spec "a"; spec "b" ] in
-  let p = Plan.default ~matchers () in
-  (match Plan.validate ~matchers p with
-  | Ok () -> ()
-  | Error m -> Alcotest.failf "own matcher set must validate: %s" m);
-  match Plan.validate ~matchers:[ spec "a" ] p with
-  | Error _ -> ()
-  | Ok () -> Alcotest.fail "extra matcher must be rejected"
-
-(* --- cost model --------------------------------------------------------- *)
-
-let wide_shape =
-  {
-    Plan.Cost.src_attrs = 10;
-    tgt_cols = 200;
-    textual_src = 8;
-    textual_tgt = 160;
-    numeric_src = 2;
-    numeric_tgt = 40;
-  }
-
-let costed_matchers =
-  [
-    spec ~cls:Plan.Op.Trivial "type";
-    spec ~cls:Plan.Op.Instance ~filterable:true ~applies:Plan.Op.Textual "word";
-    spec ~cls:Plan.Op.Qgram ~filterable:true ~applies:Plan.Op.Textual "qgram";
-  ]
-
-let test_cost_monotone_in_shape () =
-  let total shape plan =
-    Plan.Cost.total_ns (Plan.Cost.plan_cost Plan.Cost.default shape plan.Plan.ops)
-  in
-  let d = Plan.default ~matchers:costed_matchers () in
-  let small = { wide_shape with tgt_cols = 20; textual_tgt = 16; numeric_tgt = 4 } in
-  Alcotest.(check bool) "more columns cost more" true (total wide_shape d > total small d);
-  (* a small-k filter must beat the cross product on a wide workload
-     dominated by filterable instance matchers *)
-  let f = Plan.filtered ~k:4 ~matchers:costed_matchers () in
-  Alcotest.(check bool) "filtered cheaper at scale" true (total wide_shape f < total wide_shape d)
-
-let test_cost_filter_caps_pairs () =
-  let f = Plan.filtered ~k:4 ~matchers:costed_matchers () in
-  let lines = Plan.Cost.plan_cost Plan.Cost.default wide_shape f.Plan.ops in
-  let score_est =
-    List.find_map
-      (function
-        | { Plan.Cost.op = Plan.Op.Score _; est_ns; _ } -> Some est_ns
-        | _ -> None)
-      lines
-  in
-  let d = Plan.default ~matchers:costed_matchers () in
-  let d_score =
-    List.find_map
-      (function
-        | { Plan.Cost.op = Plan.Op.Score _; est_ns; _ } -> Some est_ns
-        | _ -> None)
-      (Plan.Cost.plan_cost Plan.Cost.default wide_shape d.Plan.ops)
-  in
-  match (score_est, d_score) with
-  | Some f_ns, Some d_ns ->
-    Alcotest.(check bool) "capped score stage cheaper" true (f_ns < d_ns)
-  | _ -> Alcotest.fail "both plans must carry a score stage"
-
-let test_cost_calibration () =
-  (* feed the recorder a synthetic qgram workload: 10 pairs, 50us *)
-  Obs.Recorder.enable ();
-  Obs.Metrics.reset ();
-  Obs.Metrics.add "plan.score_pairs.qgram" 10;
-  Obs.Metrics.observe_ns "plan.score_ns.qgram" 50_000L;
-  let snap = Obs.Metrics.snapshot () in
-  let m = Plan.Cost.of_snapshot snap in
-  Obs.Metrics.reset ();
-  Obs.Recorder.disable ();
-  Alcotest.(check bool) "qgram rate measured" true
-    (Float.abs (m.Plan.Cost.ns_qgram -. 5_000.0) < 1e-6);
-  (* classes without observations keep the shipped defaults *)
-  Alcotest.(check bool) "unseen classes keep defaults" true
-    (m.Plan.Cost.ns_instance = Plan.Cost.default.Plan.Cost.ns_instance
-    && m.Plan.Cost.ns_trivial = Plan.Cost.default.Plan.Cost.ns_trivial)
-
-let test_auto_resolution () =
-  let resolve ~kernel shape =
-    Plan.resolve ~shape ~kernel ~matchers:costed_matchers Plan.Auto
-  in
-  (* wide workload, kernel on: the filter wins and the name says so *)
-  let wide = resolve ~kernel:true wide_shape in
-  Alcotest.(check bool) "auto picks filter at scale" true
-    (Plan.filter_params wide <> None
-    && String.length wide.Plan.plan_name > 5
-    && String.sub wide.Plan.plan_name 0 5 = "auto:");
-  (* no kernel: never pick a filter the executor would fall back on *)
-  let no_kernel = resolve ~kernel:false wide_shape in
-  Alcotest.(check bool) "auto without kernel stays default" true
-    (Plan.filter_params no_kernel = None)
-
-(* --- differential identity: plans vs legacy ---------------------------- *)
+(* --- differential identity: filtered vs unfiltered ----------------------- *)
 
 let fp_match (m : Matching.Schema_match.t) =
   Printf.sprintf "%s|%s|%s|%s.%s|%s|%h" m.src_owner m.src_base m.src_attr m.tgt_table
@@ -253,25 +73,25 @@ let retail_params =
 let source_db = Workload.Retail.source retail_params
 let target_db = Workload.Retail.target retail_params Workload.Retail.Ryan_eyers
 
-let retail_run ?store ?(jobs = 1) ?(kernel = true) ?(plan = Plan.Default) () =
-  let config = { Ctxmatch.Config.default with jobs; kernel; plan } in
+let retail_run ?store ?(jobs = 1) ?(kernel = true) ?filter () =
+  let config = { Ctxmatch.Config.default with jobs; kernel; filter } in
   let infer = Ctxmatch.Context_match.infer_of `Src_class ~target:target_db in
   Ctxmatch.Context_match.run ~config ?store ~infer ~source:source_db ~target:target_db ()
 
 (* A filter wide enough to keep every textual target (and tau = 0,
    which the index treats inclusively: untouched targets score an
    exact 0.0 >= 0.0) keeps exactly the legacy candidate set, so the
-   run must be byte-identical to the default plan — per jobs value,
+   run must be byte-identical to the unfiltered one — per jobs value,
    kernel on and off, store cold and warm. *)
 let test_full_width_filter_is_default () =
   in_temp_dir @@ fun dir ->
   let want = fingerprint (retail_run ()) in
-  let wide = Plan.Filtered { k = 1024; tau = 0.0 } in
+  let wide = filter 1024 0.0 in
   List.iter
     (fun kernel ->
       List.iter
         (fun jobs ->
-          let r = retail_run ~jobs ~kernel ~plan:wide () in
+          let r = retail_run ~jobs ~kernel ?filter:wide () in
           Alcotest.(check string)
             (Printf.sprintf "full-width filter jobs=%d kernel=%b" jobs kernel)
             want (fingerprint r);
@@ -282,92 +102,65 @@ let test_full_width_filter_is_default () =
     [ true; false ];
   (* cold store run, then warm: same fingerprint again *)
   let store = Store.open_dir dir in
-  let cold = retail_run ~store ~plan:wide () in
+  let cold = retail_run ~store ?filter:wide () in
   Store.flush store;
   Alcotest.(check string) "cold store identical" want (fingerprint cold);
   let warm_store = Store.open_dir dir in
-  let warm = retail_run ~store:warm_store ~plan:wide () in
+  let warm = retail_run ~store:warm_store ?filter:wide () in
   Alcotest.(check string) "warm store identical" want (fingerprint warm)
 
-(* The executed plan and the pairs accounting surface coherently. *)
+(* The reported plan name and the pairs accounting surface coherently. *)
 let test_plan_accounting () =
   let base = retail_run () in
   Alcotest.(check string) "default plan named" "default"
-    base.Ctxmatch.Context_match.plan.Plan.plan_name;
+    (Matching.Standard_match.filter_to_string None);
   Alcotest.(check int) "default prunes nothing" 0 base.Ctxmatch.Context_match.pairs_pruned;
   Alcotest.(check bool) "default scores pairs" true
     (base.Ctxmatch.Context_match.pairs_scored > 0);
-  let narrow = retail_run ~plan:(Plan.Filtered { k = 1; tau = 0.0 }) () in
+  let narrow_filter = filter 1 0.0 in
+  let narrow = retail_run ?filter:narrow_filter () in
   Alcotest.(check bool) "narrow filter prunes" true
     (narrow.Ctxmatch.Context_match.pairs_pruned > 0);
   Alcotest.(check bool) "narrow filter scores fewer pairs" true
     (narrow.Ctxmatch.Context_match.pairs_scored < base.Ctxmatch.Context_match.pairs_scored);
-  Alcotest.(check bool) "filter stage present" true
-    (Plan.filter_params narrow.Ctxmatch.Context_match.plan = Some (1, 0.0))
+  Alcotest.(check string) "filter stage present" "filter:1"
+    (Matching.Standard_match.filter_to_string narrow_filter)
 
 (* The kernel is an acceleration, never a semantics switch: a filtered
-   run scores the same candidates through the kernel and through the
-   exact pairwise fallback. *)
+   run scores the same candidates through the kernel's block-max top-k
+   and through the exact pairwise fallback, under a real threshold
+   too. *)
 let test_filtered_kernel_invariance () =
   List.iter
-    (fun k ->
-      let plan = Plan.Filtered { k; tau = 0.0 } in
-      let on = retail_run ~kernel:true ~plan () in
-      let off = retail_run ~kernel:false ~plan () in
+    (fun (k, tau) ->
+      let filter = filter k tau in
+      let on = retail_run ~kernel:true ?filter () in
+      let off = retail_run ~kernel:false ?filter () in
       Alcotest.(check string)
-        (Printf.sprintf "k=%d kernel on/off identical" k)
+        (Printf.sprintf "k=%d tau=%g kernel on/off identical" k tau)
         (fingerprint on) (fingerprint off);
       Alcotest.(check int)
-        (Printf.sprintf "k=%d same pruning" k)
+        (Printf.sprintf "k=%d tau=%g same pruning" k tau)
         on.Ctxmatch.Context_match.pairs_pruned off.Ctxmatch.Context_match.pairs_pruned)
-    [ 1; 3 ]
+    [ (1, 0.0); (3, 0.0); (3, 0.2) ]
 
 (* Filtered runs are jobs-invariant too, pairs accounting included. *)
 let test_filtered_jobs_invariance () =
-  let plan = Plan.Filtered { k = 2; tau = 0.0 } in
-  let base = retail_run ~jobs:1 ~plan () in
   List.iter
-    (fun jobs ->
-      let r = retail_run ~jobs ~plan () in
-      Alcotest.(check string) (Printf.sprintf "jobs=%d identical" jobs) (fingerprint base)
-        (fingerprint r);
-      Alcotest.(check int) (Printf.sprintf "jobs=%d pairs_scored" jobs)
-        base.Ctxmatch.Context_match.pairs_scored r.Ctxmatch.Context_match.pairs_scored;
-      Alcotest.(check int) (Printf.sprintf "jobs=%d pairs_pruned" jobs)
-        base.Ctxmatch.Context_match.pairs_pruned r.Ctxmatch.Context_match.pairs_pruned)
-    [ 2; 4 ]
-
-(* Passing the default plan explicitly is the same as not passing one:
-   a single construction site, no drift. *)
-let test_explicit_default_plan () =
-  let matchers = Ctxmatch.Config.default.Ctxmatch.Config.matchers in
-  let explicit =
-    Plan.default ~gated:Ctxmatch.Config.default.Ctxmatch.Config.gated_confidence
-      ~matchers:(Matching.Matchers.plan_specs matchers) ()
-  in
-  let build ?plan () =
-    Matching.Standard_match.build ~matchers ~jobs:1 ~kernel:true ?plan ~source:source_db
-      ~target:target_db ()
-  in
-  let implicit_m = build () in
-  let explicit_m = build ~plan:explicit () in
-  List.iter
-    (fun tbl ->
-      let src_table = Table.name tbl in
-      let a = Matching.Standard_match.matches_from implicit_m ~src_table ~tau:0.5 in
-      let b = Matching.Standard_match.matches_from explicit_m ~src_table ~tau:0.5 in
-      Alcotest.(check (list string))
-        (Printf.sprintf "explicit default identical (%s)" src_table)
-        (List.map fp_match a) (List.map fp_match b))
-    (Database.tables source_db);
-  (* a plan whose matcher set disagrees with the model's is refused *)
-  match
-    build
-      ~plan:(Plan.default ~matchers:[ spec "only-one" ] ())
-      ()
-  with
-  | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "mismatched plan must raise Invalid_argument"
+    (fun (k, tau) ->
+      let filter = filter k tau in
+      let base = retail_run ~jobs:1 ?filter () in
+      List.iter
+        (fun jobs ->
+          let r = retail_run ~jobs ?filter () in
+          let label what = Printf.sprintf "k=%d tau=%g jobs=%d %s" k tau jobs what in
+          Alcotest.(check string) (label "identical") (fingerprint base) (fingerprint r);
+          Alcotest.(check int) (label "pairs_scored")
+            base.Ctxmatch.Context_match.pairs_scored r.Ctxmatch.Context_match.pairs_scored;
+          Alcotest.(check int) (label "pairs_pruned")
+            base.Ctxmatch.Context_match.pairs_pruned r.Ctxmatch.Context_match.pairs_pruned)
+        [ 2; 4 ])
+    [ (2, 0.0); (3, 0.2) ]
 
 (* --- determinism regressions (scoring path) ----------------------------- *)
 
@@ -475,41 +268,50 @@ let int_field json name =
 (* The daemon's plan surface: registration stores a per-target default
    plan (echoed by register and list-targets), a match request can
    override it, and every match reply reports the plan it executed
-   with its pairs accounting. *)
+   with its pairs accounting.  Every surface renders a plan through the
+   one printer, so a filter's TAU is never dropped. *)
 let test_serve_plan_surface () =
   in_temp_dir @@ fun dir ->
   with_server dir @@ fun client ->
-  let register = Serve.Protocol.register_json ~plan:"filter:2" ~name:"retail" (csv_payload target_db) in
-  let reply = Serve.Client.request client register in
-  Alcotest.(check string) "register echoes plan" "filter:2" (str_field reply "plan");
-  (* list-targets shows the registered default *)
+  let register name plan =
+    Serve.Client.request client
+      (Serve.Protocol.register_json ~plan ~name (csv_payload target_db))
+  in
+  Alcotest.(check string) "register echoes plan" "filter:2"
+    (str_field (register "retail" "filter:2") "plan");
+  Alcotest.(check string) "register echoes tau" "filter:2,0.3"
+    (str_field (register "retail_tau" "filter:2,0.3") "plan");
+  (* list-targets shows the registered defaults *)
   let listing = Serve.Client.request client Serve.Protocol.list_targets_json in
   (match Serve.Json.to_list_opt (expect_field listing "targets") with
-  | Some [ row ] -> Alcotest.(check string) "listed plan" "filter:2" (str_field row "plan")
-  | _ -> Alcotest.failf "expected one target row: %s" (Serve.Json.to_string listing));
+  | Some [ row; row_tau ] ->
+    Alcotest.(check string) "listed plan" "filter:2" (str_field row "plan");
+    Alcotest.(check string) "listed tau" "filter:2,0.3" (str_field row_tau "plan")
+  | _ -> Alcotest.failf "expected two target rows: %s" (Serve.Json.to_string listing));
   (* a match with no plan field runs the target's default *)
-  let m1 =
-    Serve.Client.request client
-      (Serve.Protocol.match_json ~target:"retail" (csv_payload source_db))
+  let run ?plan target =
+    Serve.Client.request client (Serve.Protocol.match_json ?plan ~target (csv_payload source_db))
   in
+  let m1 = run "retail" in
   Alcotest.(check string) "target default executed" "filter:2" (str_field m1 "plan");
   Alcotest.(check bool) "pairs accounted" true (int_field m1 "pairs_scored" > 0);
+  Alcotest.(check string) "target tau executed" "filter:2,0.3"
+    (str_field (run "retail_tau") "plan");
   (* a per-request override wins, and default reports zero pruned *)
-  let m2 =
-    Serve.Client.request client
-      (Serve.Protocol.match_json ~plan:"default" ~target:"retail" (csv_payload source_db))
-  in
+  let m2 = run ~plan:"default" "retail" in
   Alcotest.(check string) "override executed" "default" (str_field m2 "plan");
   Alcotest.(check int) "default prunes nothing" 0 (int_field m2 "pairs_pruned");
-  (* a bad plan spec is a structured bad-request, not a dead daemon *)
-  let bad =
-    Serve.Client.request client
-      (Serve.Protocol.match_json ~plan:"filter:0" ~target:"retail" (csv_payload source_db))
-  in
-  (match Serve.Json.to_bool (expect_field bad "ok") with
-  | Some false -> ()
-  | _ -> Alcotest.failf "bad plan spec must be rejected: %s" (Serve.Json.to_string bad));
-  Alcotest.(check string) "reject code" "bad-request" (str_field bad "code")
+  (* a bad plan spec is a structured bad-request, not a dead daemon;
+     [auto] is not a spec *)
+  List.iter
+    (fun plan ->
+      let bad = run ~plan "retail" in
+      (match Serve.Json.to_bool (expect_field bad "ok") with
+      | Some false -> ()
+      | _ ->
+        Alcotest.failf "bad plan spec %s must be rejected: %s" plan (Serve.Json.to_string bad));
+      Alcotest.(check string) (plan ^ " reject code") "bad-request" (str_field bad "code"))
+    [ "filter:0"; "auto" ]
 
 let () =
   Alcotest.run "plan"
@@ -517,22 +319,6 @@ let () =
       ( "spec",
         [
           Alcotest.test_case "parsing and roundtrip" `Quick test_spec_parsing;
-          Alcotest.test_case "validate rejects mismatch" `Quick test_validate_rejects_mismatch;
-        ] );
-      ( "rewrite",
-        [
-          Alcotest.test_case "filter hoisted before score" `Quick test_rewrite_filter_before_score;
-          Alcotest.test_case "adjacent scores fuse" `Quick test_rewrite_fuse_scores;
-          Alcotest.test_case "matchers ordered cheap-first" `Quick test_rewrite_order_matchers;
-          Alcotest.test_case "fixpoint and rewrite log" `Quick test_rewrite_fixpoint_and_log;
-        ] );
-      ( "cost",
-        [
-          Alcotest.test_case "monotone in shape, filter wins at scale" `Quick
-            test_cost_monotone_in_shape;
-          Alcotest.test_case "filter caps score-stage pairs" `Quick test_cost_filter_caps_pairs;
-          Alcotest.test_case "calibration from recorder snapshot" `Quick test_cost_calibration;
-          Alcotest.test_case "auto resolution" `Quick test_auto_resolution;
         ] );
       ( "differential",
         [
@@ -542,7 +328,6 @@ let () =
           Alcotest.test_case "filtered kernel on/off invariance" `Quick
             test_filtered_kernel_invariance;
           Alcotest.test_case "filtered jobs invariance" `Quick test_filtered_jobs_invariance;
-          Alcotest.test_case "explicit default plan identical" `Quick test_explicit_default_plan;
         ] );
       ( "determinism",
         [

@@ -192,6 +192,86 @@ let test_observability_flags () =
       Alcotest.(check bool) "trace written" true
         (contains (slurp trace_file) "\"path\""))
 
+(* several textual columns per side, so a candidate filter has textual
+   targets to rank and prune *)
+let textual_fixture dir =
+  let titles = [| "war and peace"; "abbey road"; "anna karenina"; "kind of blue"; "ulysses";
+                  "blue train"; "middlemarch"; "let it be" |] in
+  let people = [| "leo tolstoy"; "the beatles"; "miles davis"; "james joyce"; "george eliot";
+                  "john coltrane" |] in
+  let houses = [| "penguin house"; "apple records"; "blue note"; "vintage press" |] in
+  let inv = Buffer.create 1024 in
+  Buffer.add_string inv "title,creator,publisher,status,price\n";
+  for i = 0 to 11 do
+    Buffer.add_string inv
+      (Printf.sprintf "%s,%s,%s,%s,%d\n" titles.(i mod 8) people.(i mod 6) houses.(i mod 4)
+         (if i mod 3 = 0 then "low" else "normal") (8 + i))
+  done;
+  let book = Buffer.create 1024 in
+  Buffer.add_string book "booktitle,author,label,cost\n";
+  for i = 0 to 9 do
+    Buffer.add_string book
+      (Printf.sprintf "%s,%s,%s,%d\n" titles.((i + 3) mod 8) people.((i + 1) mod 6)
+         houses.((i + 2) mod 4) (9 + i))
+  done;
+  write (Filename.concat dir "inv.csv") (Buffer.contents inv);
+  write (Filename.concat dir "book.csv") (Buffer.contents book)
+
+let test_plan_flag () =
+  in_temp_dir (fun dir ->
+      textual_fixture dir;
+      let base = Printf.sprintf "%s match -s %s/inv.csv -t %s/book.csv" cli dir dir in
+      let status, plain = run_capture base in
+      Alcotest.(check bool) "plain exit 0" true (status = Unix.WEXITED 0);
+      (* the explicit default is the unfiltered run, byte for byte *)
+      let status, explicit = run_capture (base ^ " --plan default") in
+      Alcotest.(check bool) "default exit 0" true (status = Unix.WEXITED 0);
+      Alcotest.(check string) "--plan default changes nothing" (strip_timing plain)
+        (strip_timing explicit);
+      (* a filtered run reports the filter it ran, TAU included *)
+      let status, filtered = run_capture (base ^ " --plan filter:1,0.3") in
+      Alcotest.(check bool) "filter exit 0" true (status = Unix.WEXITED 0);
+      let summary =
+        List.find_opt
+          (fun line -> String.length line > 7 && String.sub line 0 7 = "# plan ")
+          (String.split_on_char '\n' filtered)
+      in
+      (match summary with
+      | Some line ->
+        Alcotest.(check bool) ("summary names filter:1,0.3: " ^ line) true
+          (contains line "# plan filter:1,0.3: " && contains line "pairs scored"
+          && contains line "pruned")
+      | None -> Alcotest.failf "no # plan summary line in:\n%s" filtered);
+      (* unknown or malformed specs are usage errors naming the grammar *)
+      List.iter
+        (fun spec ->
+          let status, output = run_capture (Printf.sprintf "%s --plan %s" base spec) in
+          Alcotest.(check bool) (spec ^ ": usage exit") true (status = Unix.WEXITED 2);
+          Alcotest.(check bool) (spec ^ ": names the grammar") true
+            (contains output "default | filter[:K[,TAU]]"))
+        [ "auto"; "filter:0" ])
+
+(* A filtered run's metrics carry the measured kernel counters and the
+   pairs accounting, and no per-matcher-class scoring-time series. *)
+let test_filter_metrics () =
+  in_temp_dir (fun dir ->
+      textual_fixture dir;
+      let metrics_file = Filename.concat dir "metrics.json" in
+      let status, _ =
+        run_capture
+          (Printf.sprintf "%s match -s %s/inv.csv -t %s/book.csv --plan filter:1 --metrics %s" cli
+             dir dir metrics_file)
+      in
+      Alcotest.(check bool) "exit 0" true (status = Unix.WEXITED 0);
+      let ic = open_in_bin metrics_file in
+      let metrics = really_input_string ic (in_channel_length ic) in
+      close_in ic;
+      List.iter
+        (fun field ->
+          Alcotest.(check bool) ("metrics has " ^ field) true (contains metrics field))
+        [ "kernel.arena.bytes"; "kernel.topk.queries"; "plan.pairs_scored"; "plan.pairs_pruned" ];
+      Alcotest.(check bool) "no scoring-time series" false (contains metrics "plan.score_ns"))
+
 let test_bad_input_fails () =
   (* a nonexistent file is rejected by argument validation: usage (2) *)
   let status, _ = run_capture (cli ^ " match -s /nonexistent.csv -t /nonexistent.csv") in
@@ -228,5 +308,7 @@ let suite =
     Alcotest.test_case "demo grades" `Slow test_demo_command;
     Alcotest.test_case "xml input" `Slow test_xml_input;
     Alcotest.test_case "observability flags" `Slow test_observability_flags;
+    Alcotest.test_case "--plan flag" `Slow test_plan_flag;
+    Alcotest.test_case "filter metrics" `Slow test_filter_metrics;
     Alcotest.test_case "bad input fails" `Quick test_bad_input_fails;
   ]
