@@ -13,21 +13,21 @@
 
 open Relational
 
+type trainer = labels:string array -> train:int array -> int -> string option
+(** One train/test round over the rows of a prepared column:
+    [labels.(i)] is row [i]'s label (meaningful on the rows the round
+    uses), [train] the training rows' indices; the result predicts the
+    label of a row index (None = abstain). *)
+
 (** How a classifier for (h -> label) is obtained.  SrcClassInfer trains
     on the source values of h; TgtClassInfer tags h-values with the most
     similar target column and learns tag -> label associations. *)
 type teacher = {
   teacher_name : string;
-  prepare :
-    table:Table.t ->
-    h:string ->
-    label_of:(Table.row -> string) ->
-    train:Table.row array ->
-    Table.row ->
-    string option;
-      (** [prepare ~table ~h ~label_of ~train] builds a predictor from
-          the training rows; the predictor maps a row to a predicted
-          label (None = abstain). *)
+  prepare : Table.t -> h:string -> trainer;
+      (** [prepare table ~h] featurizes the h column once; {!generate}
+          calls it at most once per h and reuses the trainer for every
+          round on that column. *)
 }
 
 type verdict = {
@@ -42,6 +42,9 @@ type verdict = {
 val feature_of : Table.t -> h:string -> Table.row -> Learn.Classifier.feature
 (** The classification feature of row's h-cell: text for strings/bools,
     number for ints/floats, missing for nulls. *)
+
+val column_features : Table.t -> h:string -> Learn.Classifier.feature array
+(** {!feature_of} of every row's h-cell, in row order. *)
 
 val evaluate :
   Stats.Rng.t ->
@@ -70,4 +73,6 @@ val merged_families :
 val generate : Stats.Rng.t -> Config.t -> teacher -> Table.t -> View.family list
 (** Candidate view families of a table: for every categorical l, the
     simple family when some h classifies it significantly, plus (under
-    EarlyDisjuncts) the merged disjunctive families. *)
+    EarlyDisjuncts) the merged disjunctive families.  Each h column is
+    prepared once per call and shared by every round on it; nothing
+    outlives the call. *)

@@ -2,16 +2,12 @@ let teacher =
   {
     Clustered_view_gen.teacher_name = "src-class";
     prepare =
-      (fun ~table ~h ~label_of ~train ->
-        let classifier = Learn.Classifier.create () in
-        Array.iter
-          (fun row ->
-            match Clustered_view_gen.feature_of table ~h row with
-            | Learn.Classifier.Missing -> ()
-            | feature -> Learn.Classifier.train classifier ~label:(label_of row) feature)
-          train;
-        fun row ->
-          Learn.Classifier.classify classifier (Clustered_view_gen.feature_of table ~h row));
+      (fun table ~h ->
+        let column = Learn.Classifier.column (Clustered_view_gen.column_features table ~h) in
+        fun ~labels ~train ->
+          let classifier = Learn.Classifier.create column in
+          Array.iter (fun i -> Learn.Classifier.train classifier ~label:labels.(i) i) train;
+          Learn.Classifier.classify classifier);
   }
 
 let infer =

@@ -1,13 +1,14 @@
 open Relational
 
 type tagger = {
+  dict : Textsim.Gram_dict.t;  (** every target text cell's 3-grams *)
   text : Learn.Naive_bayes.t;
   numeric : Learn.Gaussian_nb.t;
 }
 
 let make_tagger target_db =
-  let text = Learn.Naive_bayes.create () in
   let numeric = Learn.Gaussian_nb.create () in
+  let docs = ref [] in
   List.iter
     (fun table ->
       let table_name = Table.name table in
@@ -20,19 +21,24 @@ let make_tagger target_db =
               | Value.Null -> ()
               | Value.Int n -> Learn.Gaussian_nb.train numeric ~label (float_of_int n)
               | Value.Float f -> Learn.Gaussian_nb.train numeric ~label f
-              | Value.String s ->
-                Learn.Naive_bayes.train text ~label (Textsim.Tokenize.trigrams s)
+              | Value.String s -> docs := (label, Textsim.Tokenize.trigrams s) :: !docs
               | Value.Bool b ->
-                Learn.Naive_bayes.train text ~label (Textsim.Tokenize.trigrams (string_of_bool b)))
+                docs := (label, Textsim.Tokenize.trigrams (string_of_bool b)) :: !docs)
             (Table.column table attr.name))
         (Schema.attributes (Table.schema table)))
     (Database.tables target_db);
-  { text; numeric }
+  let docs = Array.of_list (List.rev !docs) in
+  let dict, ids = Textsim.Gram_dict.of_docs (Array.map snd docs) in
+  let text = Learn.Naive_bayes.create ~size:(Textsim.Gram_dict.size dict) () in
+  Array.iteri (fun i (label, _) -> Learn.Naive_bayes.train text ~label ids.(i)) docs;
+  { dict; text; numeric }
 
 let tag tagger feature =
   match feature with
   | Learn.Classifier.Missing -> None
-  | Learn.Classifier.Text s -> Learn.Naive_bayes.classify tagger.text (Textsim.Tokenize.trigrams s)
+  | Learn.Classifier.Text s ->
+    Learn.Naive_bayes.classify tagger.text
+      (Textsim.Gram_dict.ids tagger.dict (Textsim.Tokenize.trigrams s))
   | Learn.Classifier.Number x -> Learn.Gaussian_nb.classify tagger.numeric x
 
 (* TBag statistics: for tag g and label v, score(g,v) = P(v|g) * P(g|v);
@@ -105,24 +111,28 @@ module Tbag = struct
     | (_, _, _) :: _ | [] -> most_common_label t
 end
 
-let teacher target_db =
-  let tagger = make_tagger target_db in
+let teacher_of_tagger tag =
   {
     Clustered_view_gen.teacher_name = "tgt-class";
     prepare =
-      (fun ~table ~h ~label_of ~train ->
-        let tbag = Tbag.create () in
-        Array.iter
-          (fun row ->
-            match tag tagger (Clustered_view_gen.feature_of table ~h row) with
-            | None -> ()
-            | Some g -> Tbag.observe tbag ~tag:g ~label:(label_of row))
-          train;
-        fun row ->
-          match tag tagger (Clustered_view_gen.feature_of table ~h row) with
-          | None -> Tbag.most_common_label tbag
-          | Some g -> Tbag.best_cat tbag g);
+      (fun table ~h ->
+        (* a row's tag does not depend on the round: tag each row once *)
+        let tags = Array.map tag (Clustered_view_gen.column_features table ~h) in
+        fun ~labels ~train ->
+          let tbag = Tbag.create () in
+          Array.iter
+            (fun i ->
+              match tags.(i) with
+              | None -> ()
+              | Some g -> Tbag.observe tbag ~tag:g ~label:labels.(i))
+            train;
+          fun i ->
+            match tags.(i) with
+            | None -> Tbag.most_common_label tbag
+            | Some g -> Tbag.best_cat tbag g);
   }
+
+let teacher target_db = teacher_of_tagger (tag (make_tagger target_db))
 
 let infer target_db =
   let teacher = teacher target_db in

@@ -1,36 +1,49 @@
-(** A unified single-label classifier over mixed features.
+(** A unified single-label classifier over the cells of one column.
 
     ClusteredViewGen trains "a classification function C_h" on attribute
     values; depending on the attribute's type this is naive Bayes on
     3-grams or a Gaussian classifier (paper §3.2.3).  This module hides
-    the dispatch so the view-generation algorithm is type-agnostic. *)
+    the dispatch so the view-generation algorithm is type-agnostic.
+
+    A column is featurized once ({!column}) and then trained and
+    classified many times by row index: a text cell's q-grams are
+    tokenized and interned once, not once per train/test round. *)
 
 type feature =
   | Text of string
   | Number of float
   | Missing
 
+type column
+(** The featurized cells of one column: text as its positional q-gram
+    ids in a {!Textsim.Gram_dict} built from the column's own grams,
+    numbers as floats. *)
+
+val column : ?q:int -> feature array -> column
+(** [q] is the gram size for text (default 3). *)
+
 type t
 
-val create : ?q:int -> ?alpha:float -> unit -> t
-(** Fresh classifier; [q] is the gram size for text (default 3), [alpha]
-    the NB smoothing. *)
+val create : ?alpha:float -> column -> t
+(** Fresh classifier over the rows of a column; [alpha] is the NB
+    smoothing. *)
 
-val train : t -> label:string -> feature -> unit
-(** [Missing] features are ignored. *)
+val train : t -> label:string -> int -> unit
+(** Train on the cell at a row index.  [Missing] cells are ignored. *)
 
 val trained : t -> bool
 (** True once at least one (non-missing) example has been seen. *)
 
 val labels : t -> string list
 
-val classify : t -> feature -> string option
-(** Predicted label.  Numbers may have been seen as text and vice versa;
-    each sub-classifier answers only for its own feature kind, and when
-    that kind saw no training data the other is consulted on a textual
-    rendering. [Missing] yields [None]. *)
+val classify : t -> int -> string option
+(** Predicted label of the cell at a row index.  Numbers may have been
+    seen as text and vice versa; each sub-classifier answers only for
+    its own feature kind, and when that kind saw no training data the
+    other is consulted: text is parsed as a number, and a number is
+    classified on the q-grams of its [%g] rendering.  [Missing] yields
+    [None]. *)
 
-val of_fun : (feature -> string option) -> t
-(** Wrap an external prediction function (used by TgtClassInfer, whose
-    "classifier" is the bestCAT composition).  Training on such a
-    classifier raises [Invalid_argument]. *)
+val of_fun : (int -> string option) -> t
+(** Wrap an external prediction function over row indices.  Training on
+    such a classifier raises [Invalid_argument]. *)

@@ -1,60 +1,108 @@
 type label_stats = {
   mutable docs : int;  (** training documents with this label *)
   mutable tokens : int;  (** total token occurrences under this label *)
-  counts : (string, int) Hashtbl.t;  (** per-token occurrence counts *)
+  counts : int array;  (** per-id occurrence counts *)
+  mutable max_count : int;
+  mutable denom : float;
+  mutable logs : float array;
+      (** [logs.(n) = log ((n + alpha) / denom)] for n in
+          [0 .. max_count], filled on first use; NaN = not yet *)
 }
 
 type t = {
   alpha : float;
+  size : int;
   by_label : (string, label_stats) Hashtbl.t;
-  vocabulary : (string, unit) Hashtbl.t;
+  seen : Bytes.t;  (** ids seen in training *)
+  mutable vocabulary : int;  (** distinct ids seen in training *)
   mutable total_docs : int;
+  fresh : bool Atomic.t;  (** denominators and log tables reflect all training *)
 }
 
-let create ?(alpha = 1.0) () =
-  { alpha; by_label = Hashtbl.create 16; vocabulary = Hashtbl.create 1024; total_docs = 0 }
+let create ?(alpha = 1.0) ~size () =
+  {
+    alpha;
+    size;
+    by_label = Hashtbl.create 16;
+    seen = Bytes.make size '\000';
+    vocabulary = 0;
+    total_docs = 0;
+    fresh = Atomic.make false;
+  }
 
 let stats_for t label =
   match Hashtbl.find_opt t.by_label label with
   | Some s -> s
   | None ->
-    let s = { docs = 0; tokens = 0; counts = Hashtbl.create 64 } in
+    let s =
+      {
+        docs = 0;
+        tokens = 0;
+        counts = Array.make t.size 0;
+        max_count = 0;
+        denom = Float.nan;
+        logs = [||];
+      }
+    in
     Hashtbl.add t.by_label label s;
     s
 
-let train t ~label tokens =
+let train t ~label ids =
   let s = stats_for t label in
   s.docs <- s.docs + 1;
   t.total_docs <- t.total_docs + 1;
-  List.iter
-    (fun tok ->
-      Hashtbl.replace t.vocabulary tok ();
-      let n = try Hashtbl.find s.counts tok with Not_found -> 0 in
-      Hashtbl.replace s.counts tok (n + 1);
-      s.tokens <- s.tokens + 1)
-    tokens
+  Array.iter
+    (fun id ->
+      if Bytes.get t.seen id = '\000' then begin
+        Bytes.set t.seen id '\001';
+        t.vocabulary <- t.vocabulary + 1
+      end;
+      let n = s.counts.(id) + 1 in
+      s.counts.(id) <- n;
+      if n > s.max_count then s.max_count <- n)
+    ids;
+  s.tokens <- s.tokens + Array.length ids;
+  Atomic.set t.fresh false
 
 let labels t =
   Hashtbl.fold (fun label _ acc -> label :: acc) t.by_label [] |> List.sort String.compare
 
 let document_count t = t.total_docs
 
-let log_posteriors t tokens =
+(* Training changes every denominator (through the vocabulary size), so
+   the first classification after training resets every label's table.
+   Concurrent classifications may both reset and fill it; they write the
+   same values, and a NaN read just recomputes. *)
+let refresh t =
+  let vocab = float_of_int (max 1 t.vocabulary) in
+  Hashtbl.iter
+    (fun _ s ->
+      s.denom <- float_of_int s.tokens +. (t.alpha *. vocab);
+      s.logs <- Array.make (s.max_count + 1) Float.nan)
+    t.by_label;
+  Atomic.set t.fresh true
+
+(* An id outside the dictionary was never trained on: count 0. *)
+let log_term t s id =
+  let n = if id < 0 || id >= t.size then 0 else s.counts.(id) in
+  let logs = s.logs in
+  let v = logs.(n) in
+  if Float.is_nan v then begin
+    let v = log ((float_of_int n +. t.alpha) /. s.denom) in
+    logs.(n) <- v;
+    v
+  end
+  else v
+
+let log_posteriors t ids =
   if t.total_docs = 0 then []
   else begin
-    let vocab = float_of_int (max 1 (Hashtbl.length t.vocabulary)) in
+    if not (Atomic.get t.fresh) then refresh t;
     let scored =
       Hashtbl.fold
         (fun label s acc ->
           let prior = log (float_of_int s.docs /. float_of_int t.total_docs) in
-          let denom = float_of_int s.tokens +. (t.alpha *. vocab) in
-          let log_likelihood =
-            List.fold_left
-              (fun acc tok ->
-                let n = try Hashtbl.find s.counts tok with Not_found -> 0 in
-                acc +. log ((float_of_int n +. t.alpha) /. denom))
-              0.0 tokens
-          in
+          let log_likelihood = Array.fold_left (fun acc id -> acc +. log_term t s id) 0.0 ids in
           (label, prior +. log_likelihood) :: acc)
         t.by_label []
     in
@@ -70,11 +118,11 @@ let log_posteriors t tokens =
       scored
   end
 
-let classify t tokens =
-  match log_posteriors t tokens with [] -> None | (label, _) :: _ -> Some label
+let classify t ids =
+  match log_posteriors t ids with [] -> None | (label, _) :: _ -> Some label
 
-let classify_with_margin t tokens =
-  match log_posteriors t tokens with
+let classify_with_margin t ids =
+  match log_posteriors t ids with
   | [] -> None
   | [ (label, _) ] -> Some (label, Float.infinity)
   | (label, s1) :: (_, s2) :: _ -> Some (label, s1 -. s2)

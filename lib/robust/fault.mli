@@ -5,7 +5,7 @@
     fan-out unit, one pool task, one memo lookup, a store shard
     read/write/rename, a serve-socket read/write).  When a site is
     armed, {!check} decides per *key* — a stable identifier of the unit
-    of work, such as ["Inventory.Title"] or a shard path — whether to
+    of work, such as ["Inventory.Title"] or a shard file name — whether to
     fire, by hashing [(seed, site, key)] into \[0, 1) and comparing
     against the armed rate.
 
@@ -27,9 +27,16 @@ type site =
   | Matcher_score  (** per StandardMatch fan-out unit; key ["table.attr"] *)
   | Pool_task  (** per index of a result-aware pool fan-out; key = index *)
   | Memo_lookup  (** per memo probe; key = hash of the memo key *)
-  | Store_shard_read  (** per shard-file read; key = shard path *)
-  | Store_shard_write  (** per shard-file write; key = shard path *)
-  | Store_flush_rename  (** per atomic rename at flush; key = target path *)
+  | Store_shard_read
+      (** per shard-file read; key = the shard's path relative to the
+          store directory, e.g. ["shard-0007.dat"], so a seed fires the
+          same faults wherever the store lives *)
+  | Store_shard_write
+      (** per shard-file write; key = the file's path relative to the
+          store directory (["shard-0007.dat"], ["store.index"]) *)
+  | Store_flush_rename
+      (** per atomic rename at flush; key = the target's path relative
+          to the store directory *)
   | Socket_read  (** per serve-socket read; key ["conn:<id>"] *)
   | Socket_write  (** per serve-socket reply write; key ["conn:<id>:<n>"] *)
   | Delta_apply  (** per incremental target update; key ["table:generation"] *)

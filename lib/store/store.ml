@@ -166,8 +166,12 @@ let cell_of_string s =
 
 (* ---- shard serialisation ---------------------------------------------- *)
 
-let shard_path t i = Filename.concat t.dir (Printf.sprintf "shard-%04d.dat" i)
-let index_path dir = Filename.concat dir "store.index"
+(* Fault keys are these names relative to the store directory, so the
+   same faults fire wherever the store lives. *)
+let shard_name i = Printf.sprintf "shard-%04d.dat" i
+let index_name = "store.index"
+let shard_path t i = Filename.concat t.dir (shard_name i)
+let index_path dir = Filename.concat dir index_name
 
 let emit_entry buf addr art =
   match art with
@@ -575,7 +579,7 @@ let loaded_shard t i =
        propagates to the caller and leaves the shard [`Unloaded] so a
        later access retries — quarantining the (healthy) file here
        would destroy data over a passing failure. *)
-    Robust.Fault.check Robust.Fault.Store_shard_read ~key:path;
+    Robust.Fault.check Robust.Fault.Store_shard_read ~key:(shard_name i);
     let table =
       if not (Sys.file_exists path) then Hashtbl.create 64
       else begin
@@ -709,14 +713,15 @@ let compact_deltas t ~table ~data =
 
    Either way every observable shard state is old, new, or
    quarantinable-torn — never silent garbage. *)
-let write_atomic ~dir ~path content =
+let write_atomic ~dir ~name content =
+  let path = Filename.concat dir name in
   let torn =
-    match Robust.Fault.fire Robust.Fault.Store_shard_write ~key:path with
+    match Robust.Fault.fire Robust.Fault.Store_shard_write ~key:name with
     | Some (Torn_write frac) ->
       Some (String.sub content 0 (int_of_float (frac *. float_of_int (String.length content))))
-    | Some Robust.Fault.Raise -> raise (Robust.Fault.Injected { site = Store_shard_write; key = path })
+    | Some Robust.Fault.Raise -> raise (Robust.Fault.Injected { site = Store_shard_write; key = name })
     | Some (Latency_ms _) | None ->
-      ignore (Robust.Fault.check Robust.Fault.Store_shard_write ~key:path);
+      ignore (Robust.Fault.check Robust.Fault.Store_shard_write ~key:name);
       None
   in
   let tmp = Filename.temp_file ~temp_dir:dir "store" ".tmp" in
@@ -727,16 +732,16 @@ let write_atomic ~dir ~path content =
      (try Sys.remove tmp with Sys_error _ -> ());
      raise e);
   close_out oc;
-  (match Robust.Fault.fire Robust.Fault.Store_flush_rename ~key:path with
+  (match Robust.Fault.fire Robust.Fault.Store_flush_rename ~key:name with
   | Some (Robust.Fault.Raise | Torn_write _) ->
     (try Sys.remove tmp with Sys_error _ -> ());
-    raise (Robust.Fault.Injected { site = Store_flush_rename; key = path })
+    raise (Robust.Fault.Injected { site = Store_flush_rename; key = name })
   | Some (Latency_ms _) ->
-    ignore (Robust.Fault.check Robust.Fault.Store_flush_rename ~key:path);
+    ignore (Robust.Fault.check Robust.Fault.Store_flush_rename ~key:name);
     Sys.rename tmp path
   | None -> Sys.rename tmp path);
   match torn with
-  | Some _ -> raise (Robust.Fault.Injected { site = Store_shard_write; key = path })
+  | Some _ -> raise (Robust.Fault.Injected { site = Store_shard_write; key = name })
   | None -> ()
 
 let flush t =
@@ -748,13 +753,13 @@ let flush t =
       (fun i shard ->
         match shard.state with
         | `Loaded table when shard.dirty ->
-          write_atomic ~dir:t.dir ~path:(shard_path t i) (render_shard t i table);
+          write_atomic ~dir:t.dir ~name:(shard_name i) (render_shard t i table);
           shard.dirty <- false;
           t.flushed <- t.flushed + 1;
           if !Obs.Recorder.enabled then Obs.Metrics.incr "store.flushed_shards"
         | `Loaded _ | `Unloaded -> ())
       t.shards;
-    write_atomic ~dir:t.dir ~path:(index_path t.dir)
+    write_atomic ~dir:t.dir ~name:index_name
       (Printf.sprintf "ctxstore-index %d shards %d\n" format_version t.nshards)
   end
 

@@ -24,8 +24,17 @@ val of_grams : string list -> t
 (** Build a frozen dictionary of the distinct grams (duplicates are
     fine); ids follow [String.compare] order. *)
 
+val of_docs : string list array -> t * int array array
+(** [of_docs docs] builds the dictionary of every gram of [docs] and
+    interns each document in one pass: [(dict, ids)] with
+    [ids.(i).(j)] the id of the [j]-th gram of [docs.(i)]. *)
+
 val find : t -> string -> int option
 val mem : t -> string -> bool
+
+val ids : t -> string list -> int array
+(** The id of each gram in order, [-1] for a gram outside the
+    vocabulary. *)
 
 val gram : t -> int -> string
 (** Inverse of {!find}; raises [Invalid_argument] out of range. *)

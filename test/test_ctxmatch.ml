@@ -5,8 +5,10 @@ open Relational
 let config = Ctxmatch.Config.default
 
 (* A small table where `kind` is perfectly predicted by `text`
-   (book/music vocabulary) and `noise` predicts nothing. *)
-let clustered_table ?(rows = 120) ?(labels = [| "b"; "m" |]) () =
+   (book/music vocabulary) and `noise` predicts nothing.  Labels
+   starting with 'b' get book titles unless [is_book] says otherwise. *)
+let clustered_table ?(rows = 120) ?(labels = [| "b"; "m" |])
+    ?(is_book = fun label -> String.length label > 0 && label.[0] = 'b') () =
   let rng = Stats.Rng.create 17 in
   let schema =
     Schema.make "src"
@@ -15,7 +17,7 @@ let clustered_table ?(rows = 120) ?(labels = [| "b"; "m" |]) () =
   let row _ =
     let label = Stats.Rng.pick rng labels in
     let text =
-      if String.length label > 0 && label.[0] = 'b' then
+      if is_book label then
         (Workload.Corpus.book rng).Workload.Corpus.book_title
       else (Workload.Corpus.album rng).Workload.Corpus.album_title
     in
@@ -107,6 +109,26 @@ let test_merged_families_group_same_type_labels () =
   in
   Alcotest.(check bool) "same-type labels merged" true groups_ok
 
+(* After b1 and b2 merge, their group's label must not equal the label
+   of a real value spelled "b1|b2": the two classes would be conflated
+   and the merged family lost. *)
+let test_merged_families_label_collision () =
+  List.iter
+    (fun x ->
+      let table =
+        clustered_table ~rows:300 ~labels:[| "b1"; "b2"; x |] ~is_book:(fun l -> l <> x) ()
+      in
+      let families =
+        Ctxmatch.Clustered_view_gen.merged_families (Stats.Rng.create 11) config
+          Ctxmatch.Src_class_infer.teacher table ~l:"kind" ~h:"text"
+      in
+      let views f = List.map (fun v -> Condition.to_string (View.condition v)) f.View.views in
+      Alcotest.(check (list (list string)))
+        (Printf.sprintf "X = %s" x)
+        [ [ "kind IN (b1, b2)"; "kind = " ^ x ] ]
+        (List.map views families))
+    [ "m"; "zz"; "b1|b2" ]
+
 let test_naive_partitions () =
   let parts = Ctxmatch.Naive_infer.partitions [ 1; 2; 3 ] ~limit:100 in
   Alcotest.(check int) "bell(3) = 5" 5 (List.length parts);
@@ -176,6 +198,7 @@ let suite =
     Alcotest.test_case "best verdict picks informative h" `Quick test_best_verdict_picks_informative_h;
     Alcotest.test_case "generate family on kind" `Quick test_generate_family_on_kind;
     Alcotest.test_case "merged families group labels" `Quick test_merged_families_group_same_type_labels;
+    Alcotest.test_case "merged label never collides" `Quick test_merged_families_label_collision;
     Alcotest.test_case "naive partitions" `Quick test_naive_partitions;
     Alcotest.test_case "naive partitions limit" `Quick test_naive_partitions_limit;
     Alcotest.test_case "bell numbers" `Quick test_bell_numbers;

@@ -22,6 +22,7 @@ let () =
       ("learn", Test_learn.suite);
       ("matching", Test_matching.suite);
       ("ctxmatch.core", Test_ctxmatch.suite);
+      ("ctxmatch.infer-oracle", Test_infer_oracle.suite);
       ("ctxmatch.select", Test_select_matches.suite);
       ("runtime", Test_runtime.suite);
       ("runtime.parallel-equiv", Test_parallel_equiv.suite);
