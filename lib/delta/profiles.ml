@@ -210,7 +210,8 @@ let column_patches t =
 (* Seed a cache (and through it an attached store) with the maintained
    artefacts under the exact keys cold computation uses: the full-range
    key per attribute, and per condition attribute the partition-group
-   keys [Profile_cache.partition] would derive from the current rows.
+   keys, whose digests [Profile_cache.partition] takes once from the
+   current rows.
    A value present only in deleted rows has no group in the cold
    partition and is skipped — its maintained (empty) profile describes
    rows that no longer exist. *)
@@ -241,14 +242,13 @@ let seed t cache =
       let part = Matching.Profile_cache.partition cache ~table:t.p_table ~cond_attr:ps.ps_cond in
       List.iter
         (fun (v, groups) ->
-          match Matching.Profile_cache.partition_indices part v with
+          match Matching.Profile_cache.partition_slot part v with
           | None -> ()
-          | Some indices ->
+          | Some slot ->
+            let subset = part.Matching.Profile_cache.part_digests.(slot) in
             Hashtbl.iter
               (fun attr p ->
-                Matching.Profile_cache.seed_profile cache
-                  (Matching.Profile_cache.key ~table:tname ~attr ~indices)
-                  (copy_profile p))
+                Matching.Profile_cache.seed_profile cache (tname, attr, subset) (copy_profile p))
               groups)
         ps.ps_groups)
     t.p_parts

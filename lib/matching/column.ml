@@ -49,20 +49,27 @@ let of_table ?cache table attr_name =
     (Schema.attribute (Table.schema table) attr_name)
     (Table.column table attr_name)
 
-let of_view ?cache view attr_name =
-  let cache =
-    Option.map
-      (fun c ->
-        ( c,
-          Profile_cache.key
-            ~table:(Table.name (View.base view))
-            ~attr:attr_name ~indices:(View.row_indices view) ))
-      cache
-  in
-  make ?cache ~view
-    ~owner:(View.name view)
-    (Schema.attribute (Relational.Table.schema (View.base view)) attr_name)
-    (View.column view attr_name)
+let view_columns ?cache view =
+  let base = View.base view in
+  (* hashed at most once per view, and only when there is a cache to key *)
+  let subset = lazy (Profile_cache.subset_digest (View.row_indices view)) in
+  let cols = Hashtbl.create 8 in
+  fun attr_name ->
+    match Hashtbl.find_opt cols attr_name with
+    | Some c -> c
+    | None ->
+      let cache =
+        Option.map (fun c -> (c, (Table.name base, attr_name, Lazy.force subset))) cache
+      in
+      let c =
+        make ?cache ~view ~owner:(View.name view)
+          (Schema.attribute (Table.schema base) attr_name)
+          (View.column view attr_name)
+      in
+      Hashtbl.add cols attr_name c;
+      c
+
+let of_view ?cache view attr_name = view_columns ?cache view attr_name
 
 let owner t = t.owner
 let attribute t = t.attribute
@@ -104,14 +111,15 @@ let words_attr attr = attr ^ "\twords"
 
 (* When the column belongs to a view whose condition selects values of
    one *other* categorical attribute, its rows are the disjoint union of
-   that attribute's per-value partitions, so any artefact that adds up —
-   integer gram counts, distinct-string sets — can be composed from the
-   per-partition artefacts instead of re-scanning the rows.  Composition
-   is exact: summed counts equal rescanned counts bag-for-bag, and the
-   scoring folds only ever see the (gram-sorted) counts, so scores are
-   bit-identical either way.  The per-partition artefacts are shared
-   through the cache across every view and family that selects the same
-   attribute, which is where the asymptotic win comes from. *)
+   that attribute's per-value partition groups, so any artefact that
+   adds up — integer gram counts, distinct-string sets — can be composed
+   from the per-group artefacts instead of re-scanning the rows.
+   Composition is exact: summed counts equal rescanned counts
+   bag-for-bag, id-order unions equal sorted-unique string unions, and
+   the scoring folds only ever see the (gram-sorted) counts, so scores
+   are bit-identical either way.  The per-group artefacts live in
+   families shared through the cache by every view over the attribute,
+   which is where the asymptotic win comes from. *)
 let compose_plan t =
   match (t.cache, t.view) with
   | Some (c, _), Some view when Profile_cache.partitioning c -> (
@@ -123,15 +131,6 @@ let compose_plan t =
     | _ -> None)
   | _ -> None
 
-let partition_slices c base cond_attr vs =
-  let part = Profile_cache.partition c ~table:base ~cond_attr in
-  List.map
-    (fun v ->
-      match Profile_cache.partition_indices part v with
-      | Some indices -> indices
-      | None -> [||])
-    vs
-
 let sub_strings base attr indices =
   let rows = Table.rows base in
   let col = Schema.index_of (Table.schema base) attr in
@@ -140,26 +139,31 @@ let sub_strings base attr indices =
          let v = rows.(i).(col) in
          if Value.is_null v then None else Some (Value.to_string v))
 
-(* View-profile composition through the columnar family pack: the
-   selected values map to partition-group slots, and the composed
-   profile is one integer merge-sum over the family's arena rows —
-   no hashtable, no string, no re-fold of the per-group counts.  The
-   resulting count bag equals [Profile.sum] of the boxed per-group
-   profiles (which itself equals a row re-scan), so scores stay
-   bit-identical to both earlier paths.  Values absent from the sample
-   still register their empty row slice through the cache, exactly as
-   the boxed path did — the memo/store artefact set is unchanged. *)
-let composed_profile t c base cond_attr vs =
-  if !Obs.Recorder.enabled then begin
-    Obs.Metrics.incr "column.partition.composed";
-    Obs.Metrics.add "column.partition.parts" (List.length vs)
-  end;
-  let attr = name t in
-  let tname = Table.name base in
-  let fam =
-    Profile_cache.family c ~table:base ~cond_attr ~attr ~profile_of:(fun indices ->
-        Textsim.Profile.of_strings (sub_strings base attr indices))
-  in
+let word_list strs = List.concat_map Textsim.Tokenize.words strs |> List.sort_uniq String.compare
+
+(* The families every composed artefact reads, built through the exact
+   per-group keys whether {!warm_families} or a view's first lookup
+   gets there first. *)
+let profile_family c base cond_attr attr =
+  Profile_cache.family c ~table:base ~cond_attr ~attr ~profile_of:(fun indices ->
+      Textsim.Profile.of_strings (sub_strings base attr indices))
+
+let distinct_family c base cond_attr attr =
+  Profile_cache.set_family c ~table:base ~cond_attr ~attr ~set_of:(fun indices ->
+      sub_strings base attr indices |> List.sort_uniq String.compare)
+
+let words_family c base cond_attr attr =
+  Profile_cache.set_family c ~table:base ~cond_attr ~attr:(words_attr attr)
+    ~set_of:(fun indices -> word_list (sub_strings base attr indices))
+
+let empty_subset = Profile_cache.subset_digest [||]
+
+(* The group slots of the selected values, in value order.  A value
+   absent from the sample has no group; it still registers the empty
+   row slice through [touch_empty], once per such value, so the memo
+   and store artefact sets are those a per-value composition would
+   leave behind. *)
+let group_slots c base cond_attr vs ~touch_empty =
   let part = Profile_cache.partition c ~table:base ~cond_attr in
   let slots, missing =
     List.fold_left
@@ -169,54 +173,36 @@ let composed_profile t c base cond_attr vs =
         | None -> (slots, missing + 1))
       ([], 0) vs
   in
-  let slots = List.rev slots in
-  if missing > 0 then
-    for _ = 1 to missing do
-      ignore
-        (Profile_cache.profile c
-           (Profile_cache.key ~table:tname ~attr ~indices:[||])
-           (fun () -> Textsim.Profile.of_strings []))
-    done;
-  match slots with
-  | [ slot ] when missing = 0 -> fam.Profile_cache.fam_profiles.(slot)
-  | slots -> Profile_cache.compose_profile fam slots
+  for _ = 1 to missing do
+    touch_empty ()
+  done;
+  (List.rev slots, missing)
 
-(* Sorted-unique union by pairwise merge: [of_slice] always produces
-   [sort_uniq]'d lists, for which the fold of merges returns exactly
-   what sort-uniq-of-concat would, in O(total) comparisons.  A slice
-   that is not strictly sorted (only a foreign seeded artefact could
-   be) falls back to the original path. *)
-let rec strictly_sorted = function
-  | a :: (b :: _ as tl) -> String.compare a b < 0 && strictly_sorted tl
-  | [] | [ _ ] -> true
-
-let merge_dedup xs ys =
-  let rec go acc xs ys =
-    match (xs, ys) with
-    | [], rest | rest, [] -> List.rev_append acc rest
-    | x :: xt, y :: yt ->
-      let c = String.compare x y in
-      if c = 0 then go (x :: acc) xt yt
-      else if c < 0 then go (x :: acc) xt ys
-      else go (y :: acc) xs yt
+(* A view selecting exactly one present group shares that group's
+   artefact; anything else is a union over the family's id rows. *)
+let composed_profile t c base cond_attr vs =
+  if !Obs.Recorder.enabled then begin
+    Obs.Metrics.incr "column.partition.composed";
+    Obs.Metrics.add "column.partition.parts" (List.length vs)
+  end;
+  let attr = name t in
+  let fam = profile_family c base cond_attr attr in
+  let touch_empty () =
+    ignore
+      (Profile_cache.profile c (Table.name base, attr, empty_subset) (fun () ->
+           Textsim.Profile.of_strings []))
   in
-  go [] xs ys
+  match group_slots c base cond_attr vs ~touch_empty with
+  | [ slot ], 0 -> fam.Profile_cache.fam_profiles.(slot)
+  | slots, _ -> Profile_cache.compose_profile fam slots
 
-let composed_distinct c base cond_attr vs ~attr_key ~of_slice =
-  let tname = Table.name base in
-  let subs =
-    List.map
-      (fun indices ->
-        Profile_cache.distinct c
-          (Profile_cache.key ~table:tname ~attr:attr_key ~indices)
-          (fun () -> of_slice indices))
-      (partition_slices c base cond_attr vs)
+let composed_set c base cond_attr vs (fam : Profile_cache.set_family) ~attr_key =
+  let touch_empty () =
+    ignore (Profile_cache.distinct c (Table.name base, attr_key, empty_subset) (fun () -> []))
   in
-  match subs with
-  | [ d ] -> d
-  | ds ->
-    if List.for_all strictly_sorted ds then List.fold_left merge_dedup [] ds
-    else List.concat ds |> List.sort_uniq String.compare
+  match group_slots c base cond_attr vs ~touch_empty with
+  | [ slot ], 0 -> fam.set_groups.(slot)
+  | slots, _ -> Profile_cache.compose_set fam slots
 
 let profile t =
   match t.profile with
@@ -255,8 +241,9 @@ let distinct_strings t =
     let compute () =
       match compose_plan t with
       | Some (c, base, cond_attr, vs) ->
-        composed_distinct c base cond_attr vs ~attr_key:(name t) ~of_slice:(fun indices ->
-            sub_strings base (name t) indices |> List.sort_uniq String.compare)
+        composed_set c base cond_attr vs
+          (distinct_family c base cond_attr (name t))
+          ~attr_key:(name t)
       | None -> strings t |> Array.to_list |> List.sort_uniq String.compare
     in
     let d =
@@ -271,12 +258,12 @@ let words t =
   match t.words_memo with
   | Some w -> w
   | None ->
-    let word_list strs = List.concat_map Textsim.Tokenize.words strs |> List.sort_uniq String.compare in
     let compute () =
       match compose_plan t with
       | Some (c, base, cond_attr, vs) ->
-        composed_distinct c base cond_attr vs ~attr_key:(words_attr (name t))
-          ~of_slice:(fun indices -> word_list (sub_strings base (name t) indices))
+        composed_set c base cond_attr vs
+          (words_family c base cond_attr (name t))
+          ~attr_key:(words_attr (name t))
       | None -> word_list (strings t |> Array.to_list)
     in
     let w =
@@ -292,7 +279,7 @@ let words t =
    categorical condition attribute (under the default detection
    parameters — the same predicate NaiveInfer enumerates view families
    over) and every other textual attribute, force the columnar family
-   pack plus the per-group distinct and word sets.  View scoring then
+   pack plus the distinct and word set families.  View scoring then
    composes from warm artefacts instead of first-touch tokenising
    inside the scoring phase — the same "freeze after build" treatment
    {!warm} gives base columns.  Purely a warming pass: every artefact
@@ -301,7 +288,6 @@ let words t =
    parameters) computes the identical values lazily instead. *)
 let warm_families ?pool cache table =
   let schema = Table.schema table in
-  let tname = Table.name table in
   let cond_attrs = Categorical.categorical_attributes table in
   let pairs =
     List.concat_map
@@ -317,45 +303,27 @@ let warm_families ?pool cache table =
           (Schema.attribute_names schema))
       cond_attrs
   in
-  (* Every composable per-group artefact is warmed — textual attrs get
-     the family pack plus distinct/word slices, int attrs (whose view
-     distincts also compose, for the value-overlap matcher) get distinct
-     slices.  Completeness matters beyond speed: an [Eq] view's row set
-     *is* a partition group, so its column shares the slice's cache key,
-     and whether its first lookup nests a slice compute would otherwise
-     depend on which worker touched the slice first — warming everything
-     here keeps the lookup counts jobs-invariant. *)
+  (* Every composable family is warmed — textual attrs get the profile
+     pack plus the distinct and word set families, int attrs (whose
+     view distincts also compose, for the value-overlap matcher) the
+     distinct set family.  Completeness matters beyond speed: each
+     family is one unit's, so its per-group lookups run exactly once
+     here; a family first built lazily by concurrent views would
+     otherwise be built once per racing worker, nested lookups and all,
+     and the lookup counts would depend on the jobs count. *)
   let warm_pair (cond_attr, attr, kind) =
-    (* Best-effort: a failure (e.g. an injected fault) is dropped.
-       Nothing is memoised on exception and fault decisions are keyed to
-       the looked-up artefact, not the call site, so the owning unit's
-       own lookup later re-raises the identical error and quarantines
-       exactly as if the warm had never run. *)
-    try
-      let part = Profile_cache.partition cache ~table ~cond_attr in
-      (match kind with
-      | `Int -> ()
-      | `Textual ->
-        ignore
-          (Profile_cache.family cache ~table ~cond_attr ~attr ~profile_of:(fun indices ->
-               Textsim.Profile.of_strings (sub_strings table attr indices))));
-      Array.iter
-        (fun indices ->
-          ignore
-            (Profile_cache.distinct cache
-               (Profile_cache.key ~table:tname ~attr ~indices)
-               (fun () -> sub_strings table attr indices |> List.sort_uniq String.compare));
-          match kind with
-          | `Int -> ()
-          | `Textual ->
-            ignore
-              (Profile_cache.distinct cache
-                 (Profile_cache.key ~table:tname ~attr:(words_attr attr) ~indices)
-                 (fun () ->
-                   List.concat_map Textsim.Tokenize.words (sub_strings table attr indices)
-                   |> List.sort_uniq String.compare)))
-        part.Profile_cache.part_indices
-    with _ -> ()
+    (* Best-effort, per family: a failure (e.g. an injected fault) is
+       dropped.  Nothing is memoised on exception and fault decisions
+       are keyed to the looked-up artefact, not the call site, so the
+       owning unit's own lookup later re-raises the identical error and
+       quarantines exactly as if the warm had never run. *)
+    let attempt build = try ignore (build cache table cond_attr attr) with _ -> () in
+    (match kind with
+    | `Int -> ()
+    | `Textual ->
+      attempt profile_family;
+      attempt words_family);
+    attempt distinct_family
   in
   (* Every pair of a condition attribute shares its partition: build
      each one here, once, before the fan-out.  Racing first touches from

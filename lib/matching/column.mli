@@ -26,11 +26,19 @@ val of_table : ?cache:Profile_cache.t -> Table.t -> string -> t
     When the cache has {!Profile_cache.partitioning} on and the view's
     condition selects values of one other attribute, the profile,
     distinct set and word set are {e composed} from that attribute's
-    per-partition artefacts (shared across all views and families over
-    it) instead of re-scanning the view's rows; composition is exact —
-    integer counts add and sets union — so every downstream score is
+    families ({!Profile_cache.family}, {!Profile_cache.set_family}:
+    shared across all views over it) instead of re-scanning the view's
+    rows; composition is exact — integer counts add and id-order set
+    unions are sorted string unions — so every downstream score is
     bit-identical to the re-scan path. *)
 val of_view : ?cache:Profile_cache.t -> View.t -> string -> t
+
+val view_columns : ?cache:Profile_cache.t -> View.t -> string -> t
+(** [view_columns ?cache view] is {!of_view} for many attributes of one
+    view: the returned function builds each attribute's column once
+    and hashes the view's row indices once (only when [cache] needs a
+    key), instead of once per attribute. *)
+
 val owner : t -> string
 val attribute : t -> Attribute.t
 val name : t -> string

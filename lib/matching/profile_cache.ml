@@ -3,6 +3,7 @@ type key = string * string * string
 type partition = {
   part_values : Relational.Value.t array;
   part_indices : int array array;
+  part_digests : string array;
 }
 
 type family = {
@@ -12,12 +13,19 @@ type family = {
   fam_q : int;
 }
 
+type set_family = {
+  set_dict : Textsim.Gram_dict.t;
+  set_rows : int array array;
+  set_groups : string list array;
+}
+
 type t = {
   profiles : (key, Textsim.Profile.t) Runtime.Memo.t;
   summaries : (key, Stats.Descriptive.summary) Runtime.Memo.t;
   distincts : (key, string list) Runtime.Memo.t;
   partitions : (string * string, partition) Runtime.Memo.t;
   families : (string * string * string, family) Runtime.Memo.t;
+  set_families : (string * string * string, set_family) Runtime.Memo.t;
   mutable partitioning : bool;
   mutable store : Store.t option;
   digests : (string, string) Hashtbl.t;
@@ -32,6 +40,7 @@ let create () =
     distincts = Runtime.Memo.create ();
     partitions = Runtime.Memo.create ();
     families = Runtime.Memo.create ();
+    set_families = Runtime.Memo.create ();
     partitioning = false;
     store = None;
     digests = Hashtbl.create 8;
@@ -141,7 +150,9 @@ let key ~table ~attr ~indices = (table, attr, subset_digest indices)
    [Value.compare] — which treats [Int n] and [Float n.] as equal, like
    condition evaluation does — and each group's indices stay ascending,
    so a singleton group is index-for-index the row set of the
-   corresponding [Eq] view. *)
+   corresponding [Eq] view.  Each group's {!subset_digest} is taken here,
+   once: every per-group cache key (family packs, set families, delta
+   seeding) reads it instead of re-hashing the indices. *)
 let partition t ~table ~cond_attr =
   Runtime.Memo.find_or_add t.partitions (Relational.Table.name table, cond_attr)
     (fun () ->
@@ -175,7 +186,12 @@ let partition t ~table ~cond_attr =
         sorted;
       flush ();
       let groups = Array.of_list (List.rev !groups) in
-      { part_values = Array.map fst groups; part_indices = Array.map snd groups })
+      let part_indices = Array.map snd groups in
+      {
+        part_values = Array.map fst groups;
+        part_indices;
+        part_digests = Array.map subset_digest part_indices;
+      })
 
 let partition_slot p v =
   let lo = ref 0 and hi = ref (Array.length p.part_values - 1) in
@@ -193,24 +209,25 @@ let partition_indices p v = Option.map (fun i -> p.part_indices.(i)) (partition_
 
 (* One columnar "family pack" per (table, condition attribute, scored
    attribute): the per-group profiles of the partition — computed (or
-   store-loaded) through {!profile} under the exact per-slice keys the
-   boxed composition path uses, so the store sees the same artefacts —
-   interned against one family dictionary (the union of the groups'
-   grams) and packed into a flat CSR arena, one id-sorted row per
-   group.  Composing a view profile over k of the family's values is
-   then a k-pointer merge over arena rows straight into a packed
-   {!Textsim.Profile.of_ids} — integer count addition in id (= gram)
-   order, no hashtable, no string.  The pack is a pure function of the
-   per-group profiles, so it is derived, never persisted. *)
+   store-loaded) through {!profile} under the per-group keys
+   [(table, attr, group digest)], so the store sees the same artefacts
+   a row re-scan of each group would register — interned against one
+   family dictionary (the union of the groups' grams) and packed into a
+   flat CSR arena, one id-sorted row per group.  Composing a view
+   profile over k of the family's values is then integer count addition
+   in id (= gram) order over arena rows straight into a packed
+   {!Textsim.Profile.of_ids} — no hashtable, no string.  The pack is a
+   pure function of the per-group profiles, so it is derived, never
+   persisted. *)
 let family t ~table ~cond_attr ~attr ~profile_of =
   let tname = Relational.Table.name table in
   Runtime.Memo.find_or_add t.families (tname, cond_attr, attr) (fun () ->
       let part = partition t ~table ~cond_attr in
       let groups = part.part_indices in
       let fam_profiles =
-        Array.map
-          (fun indices ->
-            profile t (key ~table:tname ~attr ~indices) (fun () -> profile_of indices))
+        Array.mapi
+          (fun g indices ->
+            profile t (tname, attr, part.part_digests.(g)) (fun () -> profile_of indices))
           groups
       in
       let grams =
@@ -254,40 +271,122 @@ let family t ~table ~cond_attr ~attr ~profile_of =
       end;
       { fam_dict; fam_rows = Textsim.Csr.pack_ints rows; fam_profiles; fam_q })
 
+(* The set counterpart of a family pack, per (table, condition
+   attribute, set key): the per-group sorted string sets — fetched
+   through {!distinct} under the same per-group keys — interned against
+   one sorted dictionary of their union.  Dictionary ids follow
+   [String.compare] order, so a union of id rows read back in id order
+   is the sorted-unique string union. *)
+let set_family t ~table ~cond_attr ~attr ~set_of =
+  let tname = Relational.Table.name table in
+  Runtime.Memo.find_or_add t.set_families (tname, cond_attr, attr) (fun () ->
+      let part = partition t ~table ~cond_attr in
+      let set_groups =
+        Array.mapi
+          (fun g indices ->
+            distinct t (tname, attr, part.part_digests.(g)) (fun () -> set_of indices))
+          part.part_indices
+      in
+      let set_dict, set_rows = Textsim.Gram_dict.of_docs set_groups in
+      (* a sorted set maps to ascending ids already; sorting also covers
+         a foreign (store-loaded) set that is not *)
+      Array.iter (Array.sort Int.compare) set_rows;
+      if !Obs.Recorder.enabled then Obs.Metrics.incr "cache.set_family.builds";
+      { set_dict; set_rows; set_groups })
+
+(* One accumulator per domain, shared by every composition that domain
+   runs: it grows to the largest family vocabulary seen and holds only
+   zeros between calls — a composition clears exactly the entries it
+   touched as it reads them back, and an exception clears the whole
+   vector.  The slot is emptied while in use, so a re-entrant caller on
+   the same domain (another systhread) gets a private vector instead of
+   a shared dirty one. *)
+let scratch = Domain.DLS.new_key (fun () -> ref [||])
+
+let with_scratch n f =
+  let slot = Domain.DLS.get scratch in
+  let acc = if Array.length !slot >= n then !slot else Array.make n 0 in
+  slot := [||];
+  match f acc with
+  | v ->
+    slot := acc;
+    v
+  | exception e ->
+    Array.fill acc 0 (Array.length acc) 0;
+    slot := acc;
+    raise e
+
 (* Merge-sum the family rows of the given group slots into one packed
-   profile: integer counts accumulate per gram id over a scratch vector
-   of the family vocabulary, then the non-zero ids come back out in
-   ascending (= gram-lexicographic) order.  The resulting count bag is
-   exactly the bag {!Textsim.Profile.sum} of the group profiles builds,
-   and every similarity fold runs over the same gram-sorted counts, so
-   scores from the composed profile are bit-identical to the boxed
-   path's. *)
+   profile: integer counts accumulate per gram id in the domain's
+   scratch vector, read in place from the arena, then the non-zero ids
+   come back out in ascending (= gram-lexicographic) order.  The count
+   bag is exactly the bag {!Textsim.Profile.sum} of the group profiles
+   builds, and every similarity fold runs over the same gram-sorted
+   counts, so scores from the composed profile are bit-identical to a
+   row re-scan's. *)
 let compose_profile fam slots =
+  let rows = fam.fam_rows in
+  let offsets = rows.Textsim.Csr.i_offsets in
+  let row_ids = rows.Textsim.Csr.i_ids and row_vals = rows.Textsim.Csr.i_vals in
   let vocab = Textsim.Gram_dict.size fam.fam_dict in
-  let acc = Array.make (max 1 vocab) 0 in
-  let distinct = ref 0 in
-  List.iter
-    (fun slot ->
-      let ids, counts = Textsim.Csr.ints_row fam.fam_rows slot in
-      Array.iteri
-        (fun k id ->
-          if acc.(id) = 0 then incr distinct;
-          acc.(id) <- acc.(id) + counts.(k))
-        ids)
-    slots;
-  let ids = Array.make (max 1 !distinct) 0 in
-  let counts = Array.make (max 1 !distinct) 0 in
-  let k = ref 0 in
-  for id = 0 to vocab - 1 do
-    if acc.(id) > 0 then begin
-      ids.(!k) <- id;
-      counts.(!k) <- acc.(id);
-      incr k
-    end
-  done;
-  let ids = if !k = Array.length ids then ids else Array.sub ids 0 !k in
-  let counts = if !k = Array.length counts then counts else Array.sub counts 0 !k in
+  let ids, counts =
+    with_scratch vocab (fun acc ->
+        let lo = ref vocab and hi = ref (-1) and distinct = ref 0 in
+        List.iter
+          (fun slot ->
+            let first = Bigarray.Array1.get offsets slot in
+            let last = Bigarray.Array1.get offsets (slot + 1) - 1 in
+            if last >= first then begin
+              lo := min !lo (Int32.to_int (Bigarray.Array1.unsafe_get row_ids first));
+              hi := max !hi (Int32.to_int (Bigarray.Array1.unsafe_get row_ids last));
+              for k = first to last do
+                let id = Int32.to_int (Bigarray.Array1.unsafe_get row_ids k) in
+                let c = acc.(id) in
+                if c = 0 then incr distinct;
+                acc.(id) <- c + Int32.to_int (Bigarray.Array1.unsafe_get row_vals k)
+              done
+            end)
+          slots;
+        let ids = Array.make !distinct 0 and counts = Array.make !distinct 0 in
+        let k = ref 0 in
+        for id = !lo to !hi do
+          let c = acc.(id) in
+          if c <> 0 then begin
+            acc.(id) <- 0;
+            ids.(!k) <- id;
+            counts.(!k) <- c;
+            incr k
+          end
+        done;
+        (ids, counts))
+  in
   Textsim.Profile.of_ids ~q:fam.fam_q fam.fam_dict ids counts
+
+(* Union the id rows of the given group slots in the scratch vector and
+   read the marked ids back in id (= [String.compare]) order: the
+   sorted-unique union of the groups' sets, with no string compared. *)
+let compose_set fam slots =
+  let n = Textsim.Gram_dict.size fam.set_dict in
+  with_scratch n (fun acc ->
+      let lo = ref n and hi = ref (-1) in
+      List.iter
+        (fun slot ->
+          let ids = fam.set_rows.(slot) in
+          let len = Array.length ids in
+          if len > 0 then begin
+            lo := min !lo ids.(0);
+            hi := max !hi ids.(len - 1);
+            Array.iter (fun id -> acc.(id) <- 1) ids
+          end)
+        slots;
+      let out = ref [] in
+      for id = !hi downto !lo do
+        if acc.(id) <> 0 then begin
+          acc.(id) <- 0;
+          out := Textsim.Gram_dict.gram fam.set_dict id :: !out
+        end
+      done;
+      !out)
 
 let hits t =
   Runtime.Memo.hits t.profiles + Runtime.Memo.hits t.summaries + Runtime.Memo.hits t.distincts

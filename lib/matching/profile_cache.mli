@@ -12,13 +12,27 @@
     very same value sequence, keeping cached scores bit-identical to
     freshly computed ones.
 
+    Candidate views conditioned on one categorical attribute select
+    unions of that attribute's {!partition} groups.  Their artefacts are
+    composed from per-group ones, which are held twice: as cache entries
+    under the group's key (its digest taken once, when the partition is
+    built), and as a derived, in-memory {e family} that interns every
+    group against one sorted dictionary — a CSR {!family} pack for
+    profiles, a {!set_family} for distinct and word sets.  A view's
+    artefact is then a union of the family's integer rows, accumulated
+    in one per-domain scratch vector ({!compose_profile},
+    {!compose_set}); no per-group lookup, digest or string comparison
+    is repeated per view.
+
     Backed by {!Runtime.Memo}: safe to share across the worker domains
     of a parallel run.
 
     Optionally backed a second level down by a persistent {!Store}
     (see {!attach_store}): an in-memory miss then consults the store
     before computing, and a computed artefact is written through, so a
-    later process run on the same inputs starts warm. *)
+    later process run on the same inputs starts warm.  Families are
+    never persisted; the store only ever sees the per-group and per-view
+    artefacts under their [(table, attribute, digest)] keys. *)
 
 type key = string * string * string
 (** [(base table name, attribute name, row-subset digest)]. *)
@@ -27,6 +41,9 @@ type partition = {
   part_values : Relational.Value.t array;
       (** distinct non-null values, ascending under [Value.compare] *)
   part_indices : int array array;  (** per value: matching row indices, ascending *)
+  part_digests : string array;
+      (** per value: {!subset_digest} of the group's indices, the third
+          component of every per-group cache key *)
 }
 (** Partition of a base table's rows by one condition attribute's values
     (see {!partition}). *)
@@ -43,6 +60,16 @@ type family = {
 (** Columnar pack of one partition's per-group profiles (see
     {!family}). *)
 
+type set_family = {
+  set_dict : Textsim.Gram_dict.t;
+      (** frozen over the union of the groups' sets; ids follow
+          [String.compare] order *)
+  set_rows : int array array;  (** per partition group: its set's ids, ascending *)
+  set_groups : string list array;  (** the shared per-group memo sets *)
+}
+(** One partition's per-group distinct (or word) sets interned against
+    one sorted dictionary (see {!set_family}). *)
+
 type t = {
   profiles : (key, Textsim.Profile.t) Runtime.Memo.t;
   summaries : (key, Stats.Descriptive.summary) Runtime.Memo.t;
@@ -51,6 +78,10 @@ type t = {
       (** keyed by (table name, condition attribute) *)
   families : (string * string * string, family) Runtime.Memo.t;
       (** keyed by (table name, condition attribute, scored attribute) *)
+  set_families : (string * string * string, set_family) Runtime.Memo.t;
+      (** keyed by (table name, condition attribute, set key): the
+          attribute name for distinct sets, its {!Column.words_attr}
+          marker for word sets *)
   mutable partitioning : bool;
       (** when set, {!Column} composes categorical-view artefacts from
           per-partition artefacts instead of re-scanning rows *)
@@ -124,7 +155,11 @@ val partition : t -> table:Relational.Table.t -> cond_attr:string -> partition
     [Value.compare] — the same equality condition evaluation applies
     (so [Int 1] and [Float 1.] land in one group) — null rows belong to
     no group, and each group's indices are ascending: the group of [v]
-    is exactly [View.row_indices] of the [Eq (cond_attr, v)] view. *)
+    is exactly [View.row_indices] of the [Eq (cond_attr, v)] view.
+    Each group's {!subset_digest} is computed here, once, and carried in
+    [part_digests]: the per-group key of [attr] is
+    [(table name, attr, part_digests.(slot))], equal to
+    [key ~table ~attr ~indices:part_indices.(slot)]. *)
 
 val partition_slot : partition -> Relational.Value.t -> int option
 (** Index into [part_values]/[part_indices] of one value's group
@@ -143,18 +178,40 @@ val family :
   family
 (** Columnar family pack for scoring [attr] over views conditioned on
     [cond_attr]: the partition's per-group profiles — each obtained
-    through {!profile} under the {e same} per-slice key the boxed path
-    uses, so memo and store artefacts are shared — interned against one
-    dictionary frozen over their gram union and packed into a flat CSR
-    arena, one id-sorted row per group.  Memoised per
+    through {!profile} under the group's key, so memo and store
+    artefacts are shared with any column over the same rows — interned
+    against one dictionary frozen over their gram union and packed into
+    a flat CSR arena, one id-sorted row per group.  Memoised per
     (table, cond_attr, attr); derived, never persisted. *)
+
+val set_family :
+  t ->
+  table:Relational.Table.t ->
+  cond_attr:string ->
+  attr:string ->
+  set_of:(int array -> string list) ->
+  set_family
+(** The set counterpart of {!family}: the partition's per-group sets,
+    each obtained through {!distinct} under the group's key
+    [(table, attr, group digest)] ([attr] is the set key — an attribute
+    name, or its word-set marker), interned against one dictionary of
+    their union.  Memoised per (table, cond_attr, attr); derived, never
+    persisted. *)
 
 val compose_profile : family -> int list -> Textsim.Profile.t
 (** Merge-sum the rows of the given group slots into one packed
-    profile.  The count bag equals [Textsim.Profile.sum] of the slots'
-    group profiles, and every similarity fold runs over the same
-    gram-sorted count sequence, so scores are bit-identical to the
-    boxed composition path's. *)
+    profile, reading the arena in place and accumulating in the
+    calling domain's scratch vector (which grows to the largest family
+    vocabulary and is all-zero again on return, exception or not).  The
+    count bag equals [Textsim.Profile.sum] of the slots' group profiles
+    and every similarity fold runs over the same gram-sorted count
+    sequence, so scores are bit-identical to a row re-scan's. *)
+
+val compose_set : set_family -> int list -> string list
+(** Sorted-unique union of the given group slots' sets: the slots' id
+    rows marked in the same per-domain scratch vector and read back in
+    id order, which is [String.compare] order — the list
+    [List.sort_uniq String.compare] of their concatenation returns. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -680,28 +680,32 @@ let matches m ~tau =
   |> List.concat_map (fun src_table -> matches_from m ~src_table ~tau)
   |> List.sort (fun (a : Schema_match.t) b -> Float.compare b.confidence a.confidence)
 
+(* The matcher confidences of one view column against one target
+   attribute: for every matcher with normalisation stats for the source
+   attribute and applicable to the pair, its weight and (gated)
+   confidence, in suite order — the list [Normalize.combine] folds. *)
+let view_confidences m ~src_table ~src_attr src_col ~tgt_table ~tgt_attr =
+  match Hashtbl.find_opt m.target_index (tgt_table, tgt_attr) with
+  | None -> []
+  | Some tgt ->
+    List.filter_map
+      (fun (matcher : Matcher.t) ->
+        match Hashtbl.find_opt m.stats (src_table, src_attr, matcher.name) with
+        | Some st when Matcher.applicable_pair matcher src_col tgt.column ->
+          let s = Matcher.score matcher src_col tgt.column in
+          Some
+            ( matcher.weight,
+              (if m.gated then Normalize.gated_confidence else Normalize.confidence) st s )
+        | Some _ | None -> None)
+      m.matchers
+
 let score_view m view ~src_attr ~tgt_table ~tgt_attr =
   if View.row_count view = 0 then 0.0
-  else begin
-    let src_table = Table.name (View.base view) in
-    let src_col = Column.of_view ~cache:m.cache view src_attr in
-    let weighted =
-      List.filter_map
-        (fun (matcher : Matcher.t) ->
-          match Hashtbl.find_opt m.stats (src_table, src_attr, matcher.name) with
-          | None -> None
-          | Some st ->
-            let tgt = Hashtbl.find_opt m.target_index (tgt_table, tgt_attr) in
-            (match tgt with
-            | None -> None
-            | Some tgt when Matcher.applicable_pair matcher src_col tgt.column ->
-              let s = Matcher.score matcher src_col tgt.column in
-              Some (matcher.weight, (if m.gated then Normalize.gated_confidence else Normalize.confidence) st s)
-            | Some _ -> None))
-        m.matchers
-    in
-    Normalize.combine weighted
-  end
+  else
+    Normalize.combine
+      (view_confidences m ~src_table:(Table.name (View.base view)) ~src_attr
+         (Column.of_view ~cache:m.cache view src_attr)
+         ~tgt_table ~tgt_attr)
 
 let view_matches m view ~base_matches =
   (* Runs inside pool tasks: metrics only (sharded counters sum the
@@ -719,44 +723,23 @@ let view_matches m view ~base_matches =
       end)
   @@ fun () ->
   let base_name = Table.name (View.base view) in
-  (* Reuse one Column per source attribute of the view across matchers:
-     the Column caches its profile/summary internally, and the model's
+  (* One Column per source attribute of the view across matchers: the
+     Column caches its profile/summary internally, and the model's
      profile cache shares them with any other view on the same rows. *)
-  let col_cache = Hashtbl.create 8 in
-  let view_column attr =
-    match Hashtbl.find_opt col_cache attr with
-    | Some c -> c
-    | None ->
-      let c = Column.of_view ~cache:m.cache view attr in
-      Hashtbl.add col_cache attr c;
-      c
-  in
+  let view_column = Column.view_columns ~cache:m.cache view in
   let score_one (bm : Schema_match.t) =
     if View.row_count view = 0 then None
-    else begin
-      let src_col = view_column bm.src_attr in
-      let weighted =
-        List.filter_map
-          (fun (matcher : Matcher.t) ->
-            match Hashtbl.find_opt m.stats (base_name, bm.src_attr, matcher.name) with
-            | None -> None
-            | Some st ->
-              let tgt = Hashtbl.find_opt m.target_index (bm.tgt_table, bm.tgt_attr) in
-              (match tgt with
-              | Some tgt when Matcher.applicable_pair matcher src_col tgt.column ->
-                let s = Matcher.score matcher src_col tgt.column in
-                Some (matcher.weight, (if m.gated then Normalize.gated_confidence else Normalize.confidence) st s)
-              | Some _ | None -> None))
-          m.matchers
-      in
-      match weighted with
+    else
+      match
+        view_confidences m ~src_table:base_name ~src_attr:bm.src_attr
+          (view_column bm.src_attr) ~tgt_table:bm.tgt_table ~tgt_attr:bm.tgt_attr
+      with
       | [] -> None
-      | _ ->
+      | weighted ->
         Some
           (Schema_match.contextual ~view_name:(View.name view) ~src_base:base_name
              ~src_attr:bm.src_attr ~tgt_table:bm.tgt_table ~tgt_attr:bm.tgt_attr
              ~condition:(View.condition view) (Normalize.combine weighted))
-    end
   in
   (* Matches on the view's conditioning attribute(s) are not re-scored:
      the paper's views project the selection attribute away (§4.2,

@@ -78,11 +78,22 @@ let rec normalize cond =
 
 let equal a b = normalize a = normalize b
 
+(* A string that would read back as list punctuation, or as nothing at
+   all, is single-quoted with [''] for a quote — the literal form
+   [Condition_parser] reads.  Every other value prints bare.  Without
+   the quotes, [k IN ('a, b', c)] would print as [k IN (a, b, c)], and
+   view names and view dedup both key on the printed form. *)
+let value_to_string = function
+  | Value.String s
+    when s = "" || String.exists (function ',' | '(' | ')' | '\'' -> true | _ -> false) s ->
+    "'" ^ String.concat "''" (String.split_on_char '\'' s) ^ "'"
+  | v -> Value.to_string v
+
 let rec to_string = function
   | True -> "true"
-  | Eq (attr, v) -> Printf.sprintf "%s = %s" attr (Value.to_string v)
+  | Eq (attr, v) -> Printf.sprintf "%s = %s" attr (value_to_string v)
   | In (attr, vs) ->
-    Printf.sprintf "%s IN (%s)" attr (String.concat ", " (List.map Value.to_string vs))
+    Printf.sprintf "%s IN (%s)" attr (String.concat ", " (List.map value_to_string vs))
   | And (a, b) -> Printf.sprintf "(%s AND %s)" (to_string a) (to_string b)
   | Or (a, b) -> Printf.sprintf "(%s OR %s)" (to_string a) (to_string b)
   | Not a -> Printf.sprintf "NOT (%s)" (to_string a)

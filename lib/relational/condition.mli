@@ -52,6 +52,11 @@ val equal : t -> t -> bool
 (** Structural equality after {!normalize}. *)
 
 val to_string : t -> string
-(** SQL-ish rendering, e.g. ["type = 1"] or ["type IN (1, 2)"]. *)
+(** SQL-ish rendering, e.g. ["type = 1"] or ["type IN (1, 2)"].  A
+    string value that is empty or contains [,], [(], [)] or ['] is
+    single-quoted, with ['] doubled (["k IN ('a, b', c)"]), as
+    {!Condition_parser} reads it; every other value prints bare.  So a
+    value such as ["a, b"] never prints like the two values [a] and
+    [b]. *)
 
 val pp : Format.formatter -> t -> unit

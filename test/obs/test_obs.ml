@@ -34,6 +34,22 @@ let retail_run ~jobs ~seed =
   let infer = Ctxmatch.Context_match.infer_of `Src_class ~target in
   Ctxmatch.Context_match.run ~config ~infer ~source ~target ()
 
+(* NaiveInfer under early disjuncts at gamma 8: hundreds of candidate
+   views share a handful of partition families, so a per-family
+   artefact built lazily by racing views would surface as a
+   jobs-dependent lookup count *)
+let retail_views_run ~jobs ~seed =
+  let params = { Workload.Retail.rows = 320; target_rows = 160; gamma = 8; seed } in
+  let source = Workload.Retail.source params in
+  let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
+  let config =
+    Ctxmatch.Config.with_jobs
+      (Ctxmatch.Config.with_seed (Ctxmatch.Config.early Ctxmatch.Config.default) seed)
+      jobs
+  in
+  let infer = Ctxmatch.Context_match.infer_of `Naive ~target in
+  Ctxmatch.Context_match.run ~config ~infer ~source ~target ()
+
 let fingerprint (r : Ctxmatch.Context_match.result) =
   String.concat "\n"
     (List.map
@@ -226,19 +242,29 @@ let scheduling_dependent name =
          "cache.profile.builds";
        ]
 
-let counters_for ~jobs =
+let counters_for run ~jobs =
   with_recorder @@ fun () ->
-  ignore (retail_run ~jobs ~seed:11);
+  ignore (run ~jobs ~seed:11);
   let snap = Obs.Metrics.snapshot () in
   List.filter (fun (name, _) -> not (scheduling_dependent name)) snap.Obs.Metrics.counters
 
 let test_counters_jobs_invariant () =
   let show l = String.concat "\n" (List.map (fun (n, v) -> Printf.sprintf "%s=%d" n v) l) in
-  let seq = counters_for ~jobs:1 in
-  Alcotest.(check bool) "lookups counted" true
-    (List.assoc_opt "cache.profile.lookups" seq <> None);
-  Alcotest.(check string) "counters independent of --jobs" (show seq)
-    (show (counters_for ~jobs:4))
+  List.iter
+    (fun (what, run, min_views) ->
+      let seq = counters_for run ~jobs:1 in
+      Alcotest.(check bool) (what ^ ": lookups counted") true
+        (List.assoc_opt "cache.profile.lookups" seq <> None);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: at least %d candidate views" what min_views)
+        true
+        (Option.value ~default:0 (List.assoc_opt "match.candidate_views" seq) >= min_views);
+      Alcotest.(check string) (what ^ ": counters independent of --jobs") (show seq)
+        (show (counters_for run ~jobs:4)))
+    [
+      ("SrcClassInfer", retail_run, 1);
+      ("NaiveInfer early gamma 8", retail_views_run, 200);
+    ]
 
 (* --- exporters --------------------------------------------------------- *)
 

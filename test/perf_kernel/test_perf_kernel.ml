@@ -644,6 +644,165 @@ let qcheck_compose =
         && Printf.sprintf "%h" (Textsim.Profile.cosine (fresh composed) probe)
            = Printf.sprintf "%h" (Textsim.Profile.cosine (fresh raw) probe))
 
+(* --- view composition = row re-scan -------------------------------------- *)
+
+(* Condition cells: nulls, [Int 1] next to [Float 1.] (one partition
+   group under [Value.compare]); condition lists add values absent from
+   every table and repeat present ones. *)
+let k_pool =
+  [| Value.Null; Value.Int 1; Value.Float 1.0; Value.Int 2; Value.Float 2.5; Value.Int 3 |]
+
+let cond_pool =
+  [| Value.Int 1; Value.Float 1.0; Value.Int 2; Value.Float 2.5; Value.Int 3; Value.Int 9;
+     Value.Float 7.5 |]
+
+(* Empty, shared-prefix and non-ASCII strings. *)
+let txt_pool =
+  [| ""; "a"; "ab"; "abc"; "abcd"; "abd"; "\xc3\xa9"; "\xc3\xa9a"; "\xe6\x97\xa5\xe6\x9c\xac";
+     "\xe6\x97\xa5\xe6\x9c\xac\xe8\xaa\x9e"; "na\xc3\xafve caf\xc3\xa9"; "a b"; "b a" |]
+
+let compose_case_gen =
+  QCheck.Gen.(
+    let txt =
+      frequency
+        [
+          (1, return Value.Null);
+          (3, map (fun s -> Value.String s) (oneofa txt_pool));
+          (2, map (fun s -> Value.String s) words_gen);
+        ]
+    in
+    let n = frequency [ (1, return Value.Null); (4, map (fun i -> Value.Int i) (0 -- 5)) ] in
+    triple
+      (list_size (0 -- 24) (triple (oneofa k_pool) txt n))
+      (list_size (1 -- 6) (list_size (1 -- 4) (oneofa cond_pool)))
+      bool)
+
+let same_profile a b =
+  Textsim.Profile.counts a = Textsim.Profile.counts b
+  && Textsim.Profile.total a = Textsim.Profile.total b
+  && Printf.sprintf "%h" (Textsim.Profile.norm a) = Printf.sprintf "%h" (Textsim.Profile.norm b)
+
+(* Every view of a random table, composed through one shared cache
+   (families warmed up front or built on first touch), against a
+   cache-less row re-scan of the same view: profile counts, total and
+   norm, distinct and word sets of the text attribute, distinct set of
+   the int attribute. *)
+let qcheck_view_compose =
+  QCheck.Test.make ~name:"composed view artefacts = row re-scan" ~count:200
+    (QCheck.make compose_case_gen)
+    (fun (rows, conds, warm) ->
+      let schema =
+        Schema.make "comp" [ Attribute.float "k"; Attribute.string "txt"; Attribute.int "n" ]
+      in
+      let tbl = Table.make schema (List.map (fun (k, t, n) -> [| k; t; n |]) rows) in
+      let cache = Matching.Profile_cache.create () in
+      Matching.Profile_cache.set_partitioning cache true;
+      if warm then Matching.Column.warm_families cache tbl;
+      List.for_all
+        (fun vs ->
+          let cond = match vs with [ v ] -> Condition.Eq ("k", v) | vs -> Condition.In ("k", vs) in
+          let view = View.make tbl cond in
+          let composed = Matching.Column.view_columns ~cache view in
+          let rescan = Matching.Column.of_view view in
+          same_profile
+            (Matching.Column.profile (composed "txt"))
+            (Matching.Column.profile (rescan "txt"))
+          && Matching.Column.distinct_strings (composed "txt")
+             = Matching.Column.distinct_strings (rescan "txt")
+          && Matching.Column.words (composed "txt") = Matching.Column.words (rescan "txt")
+          && Matching.Column.distinct_strings (composed "n")
+             = Matching.Column.distinct_strings (rescan "n"))
+        conds)
+
+(* The per-domain scratch vector is shared by every composition on a
+   domain: composing from a large family, then a small one, then the
+   large one again — and again after a composition that raised half-way
+   through — must each equal a composition on a fresh domain, whose
+   scratch has never been used. *)
+let test_compose_scratch_reuse () =
+  let table name groups =
+    let schema = Schema.make name [ Attribute.int "k"; Attribute.string "txt" ] in
+    Table.make schema
+      (List.concat
+         (List.mapi
+            (fun g strs -> List.map (fun s -> [| Value.Int g; Value.String s |]) strs)
+            groups))
+  in
+  let large =
+    table "large"
+      (List.init 30 (fun g ->
+           List.init 5 (fun i ->
+               let run = String.make (1 + (g mod 7)) (Char.chr (97 + ((g + i) mod 26))) in
+               Printf.sprintf "title %d-%d %s" g i run)))
+  in
+  let small = table "small" [ [ "ab" ]; [ "ba"; "ab" ] ] in
+  let cache = Matching.Profile_cache.create () in
+  let sub_strings tbl indices =
+    Array.to_list indices |> List.map (fun i -> Value.to_string (Table.rows tbl).(i).(1))
+  in
+  let fam tbl =
+    Matching.Profile_cache.family cache ~table:tbl ~cond_attr:"k" ~attr:"txt"
+      ~profile_of:(fun indices -> Textsim.Profile.of_strings (sub_strings tbl indices))
+  in
+  let sets tbl =
+    Matching.Profile_cache.set_family cache ~table:tbl ~cond_attr:"k" ~attr:"txt"
+      ~set_of:(fun indices ->
+        List.concat_map Textsim.Tokenize.words (sub_strings tbl indices)
+        |> List.sort_uniq String.compare)
+  in
+  let on_fresh_domain f = Domain.join (Domain.spawn f) in
+  let check (tbl, slots) =
+    let what =
+      Printf.sprintf "%s %s" (Table.name tbl) (String.concat "," (List.map string_of_int slots))
+    in
+    let f = fam tbl and s = sets tbl in
+    let p = Matching.Profile_cache.compose_profile f slots in
+    let p' = on_fresh_domain (fun () -> Matching.Profile_cache.compose_profile f slots) in
+    Alcotest.(check bool) (what ^ ": profile = fresh compose") true (same_profile p p');
+    Alcotest.(check (list string))
+      (what ^ ": set = fresh compose")
+      (on_fresh_domain (fun () -> Matching.Profile_cache.compose_set s slots))
+      (Matching.Profile_cache.compose_set s slots)
+  in
+  Alcotest.(check bool) "large vocabulary dwarfs the small one" true
+    (Textsim.Gram_dict.size (fam large).Matching.Profile_cache.fam_dict
+    > 10 * Textsim.Gram_dict.size (fam small).Matching.Profile_cache.fam_dict);
+  List.iter check [ (large, [ 0; 3; 7; 12; 29 ]); (small, [ 0; 1 ]); (large, [ 1; 3; 29 ]) ];
+  (match Matching.Profile_cache.compose_profile (fam large) [ 0; 1; 999 ] with
+  | _ -> Alcotest.fail "slot 999 does not exist"
+  | exception Invalid_argument _ -> ());
+  check (large, [ 0; 1; 2 ]);
+  (match Matching.Profile_cache.compose_set (sets large) [ 4; 5; 999 ] with
+  | _ -> Alcotest.fail "slot 999 does not exist"
+  | exception Invalid_argument _ -> ());
+  check (large, [ 4; 5; 6 ])
+
+(* A view column's cache key is (base table, attribute, digest of the
+   view's row indices), however the column was made — the artefact its
+   profile lookup leaves behind is the one that key finds. *)
+let test_view_column_key () =
+  let tbl = retail_table () in
+  let view =
+    View.make tbl
+      (Condition.In (Workload.Retail.item_type_attr, Workload.Retail.book_labels ~gamma:4))
+  in
+  List.iter
+    (fun (how, column) ->
+      let cache = Matching.Profile_cache.create () in
+      let p = Matching.Column.profile (column cache "Title") in
+      let key =
+        Matching.Profile_cache.key ~table:(Table.name tbl) ~attr:"Title"
+          ~indices:(View.row_indices view)
+      in
+      Alcotest.(check bool)
+        (how ^ ": cached under the row-index key")
+        true
+        (Matching.Profile_cache.profile cache key (fun () -> Alcotest.fail "key missed") == p))
+    [
+      ("of_view", fun cache -> Matching.Column.of_view ~cache view);
+      ("view_columns", fun cache -> Matching.Column.view_columns ~cache view);
+    ]
+
 let () =
   Alcotest.run "perf_kernel"
     [
@@ -661,6 +820,8 @@ let () =
         [
           Alcotest.test_case "composed view artefacts" `Quick test_partition_compose;
           Alcotest.test_case "mixed numeric In" `Quick test_partition_compose_mixed_numeric;
+          Alcotest.test_case "scratch reuse across families" `Quick test_compose_scratch_reuse;
+          Alcotest.test_case "view column key" `Quick test_view_column_key;
         ] );
       ( "end-to-end",
         [
@@ -681,5 +842,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_topk;
           QCheck_alcotest.to_alcotest qcheck_compose;
+          QCheck_alcotest.to_alcotest qcheck_view_compose;
         ] );
     ]

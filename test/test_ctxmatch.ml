@@ -176,6 +176,27 @@ let test_infer_views_of_families_dedup () =
   Alcotest.(check int) "duplicates removed" 2
     (List.length (Ctxmatch.Infer.views_of_families [ f1; f2 ]))
 
+(* A value holding list punctuation must not make two views print
+   alike: unquoted, [k IN ('a, b', c)] (3 rows) and [k IN (a, b, c)]
+   (5 rows) both printed [k IN (a, b, c)], so the dedup kept only 3 of
+   these 4 views and the two view names collided. *)
+let test_infer_views_quoted_values () =
+  let schema = Schema.make "T" [ Attribute.string "k"; Attribute.string "txt" ] in
+  let row k = [| Value.String k; Value.String ("row " ^ k) |] in
+  let table = Table.make schema (List.map row [ "a"; "a"; "b"; "c"; "c"; "a, b" ]) in
+  let s x = Value.String x in
+  let f1 = View.family_of_values table "k" [ [ s "a"; s "b"; s "c" ]; [ s "a, b" ] ] in
+  let f2 = View.family_of_values table "k" [ [ s "a, b"; s "c" ]; [ s "a"; s "b" ] ] in
+  let views = Ctxmatch.Infer.views_of_families [ f1; f2 ] in
+  Alcotest.(check int) "all four views kept" 4 (List.length views);
+  Alcotest.(check (list int))
+    "row counts" [ 5; 1; 3; 3 ] (List.map View.row_count views);
+  Alcotest.(check int) "view names distinct" 4
+    (List.length (List.sort_uniq String.compare (List.map View.name views)));
+  Alcotest.(check string)
+    "quoted value" "T where k IN ('a, b', c)"
+    (View.name (List.nth views 2))
+
 let test_tgt_tagger () =
   let params = { Workload.Retail.default_params with target_rows = 150 } in
   let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
@@ -205,5 +226,6 @@ let suite =
     Alcotest.test_case "naive infer empty matches" `Quick test_naive_infer_empty_matches;
     Alcotest.test_case "naive infer views per value" `Quick test_naive_infer_views_per_value;
     Alcotest.test_case "views_of_families dedup" `Quick test_infer_views_of_families_dedup;
+    Alcotest.test_case "views_of_families quoted values" `Quick test_infer_views_quoted_values;
     Alcotest.test_case "target tagger" `Quick test_tgt_tagger;
   ]

@@ -108,6 +108,20 @@ let test_parse_errors () =
   fails "(a = 1";
   fails "'unclosed"
 
+let test_quoted_values_print () =
+  let show c = Condition.to_string c in
+  Alcotest.(check string) "comma" "k IN ('a, b', c)"
+    (show (Condition.In ("k", [ Value.String "a, b"; Value.String "c" ])));
+  Alcotest.(check string) "quote doubled" "k = 'it''s'"
+    (show (Condition.Eq ("k", Value.String "it's")));
+  Alcotest.(check string) "empty" "k = ''" (show (Condition.Eq ("k", Value.String "")));
+  Alcotest.(check string) "plain values unchanged" "k IN (Book1, War and Peace, 3, 2.5)"
+    (show
+       (Condition.In
+          ( "k",
+            [ Value.String "Book1"; Value.String "War and Peace"; Value.Int 3; Value.Float 2.5 ]
+          )))
+
 let test_parse_roundtrip () =
   (* printed form of conditions parses back to an equal condition *)
   List.iter
@@ -122,6 +136,14 @@ let test_parse_roundtrip () =
       Condition.And (Condition.Eq ("a", Value.Int 1), Condition.Eq ("b", Value.Int 2));
       Condition.Or (Condition.Eq ("a", Value.Int 1), Condition.Eq ("a", Value.Int 2));
       Condition.Not (Condition.Eq ("a", Value.Int 1));
+      (* values that print single-quoted: list punctuation, quotes, empty *)
+      Condition.Eq ("k", Value.String "a, b");
+      Condition.In ("k", [ Value.String "a, b"; Value.String "c" ]);
+      Condition.In ("k", [ Value.String "f(x)"; Value.String "("; Value.String ")" ]);
+      Condition.Eq ("k", Value.String "it's");
+      Condition.Eq ("k", Value.String "''");
+      Condition.Eq ("k", Value.String "");
+      Condition.In ("k", [ Value.String ""; Value.String "x" ]);
     ]
 
 let suite =
@@ -138,5 +160,6 @@ let suite =
     Alcotest.test_case "parse keywords case" `Quick test_parse_case_insensitive_keywords;
     Alcotest.test_case "parse TRUE" `Quick test_parse_true;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
+    Alcotest.test_case "quoted values print" `Quick test_quoted_values_print;
     Alcotest.test_case "parse roundtrip" `Quick test_parse_roundtrip;
   ]
