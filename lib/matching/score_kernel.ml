@@ -12,8 +12,7 @@ let build targets =
   if !Obs.Recorder.enabled then begin
     Obs.Metrics.add "kernel.targets" (Array.length names);
     Obs.Metrics.add "kernel.vocabulary" (Textsim.Gram_index.gram_count index);
-    Obs.Metrics.add "kernel.arena.bytes" (Textsim.Gram_index.arena_bytes index);
-    Obs.Metrics.add "kernel.arena.blocks" (Textsim.Gram_index.block_count index)
+    Obs.Metrics.add "kernel.arena.bytes" (Textsim.Gram_index.arena_bytes index)
   end;
   { index; names; slots }
 
@@ -35,13 +34,7 @@ let patch t updates =
         Obs.Metrics.add "kernel.patched" (List.length slot_updates);
       Some { t with index }
 
-let size t = Array.length t.names
-let dict t = Textsim.Gram_index.dict t.index
-let vocabulary t = Textsim.Gram_index.gram_count t.index
 let slot t ~table ~attr = Hashtbl.find_opt t.slots (table, attr)
-let name t i = t.names.(i)
-
-let intern t p = Textsim.Profile.intern (Textsim.Gram_index.dict t.index) p
 
 (* The kernel boundary rejects NaN rather than letting it flow into
    z-normalisation: cosine over non-negative counts cannot produce NaN
@@ -52,119 +45,23 @@ let intern t p = Textsim.Profile.intern (Textsim.Gram_index.dict t.index) p
 let reject_nan ~ctx s =
   if Float.is_nan s then invalid_arg ("Score_kernel." ^ ctx ^ ": NaN cosine")
 
-(* ---- sharded TAAT ------------------------------------------------------ *)
-
-(* Below this many targets a query is too small for the per-shard
-   bookkeeping to pay off; the matching layer also uses it to decide
-   whether batch scoring is worth hoisting out of the per-attribute
-   fan-out at all. *)
-let shard_threshold = 256
-
-(* Contiguous block-aligned slot ranges, one per pool domain: block
-   alignment is what {!Textsim.Gram_index.scores_range} requires, and
-   contiguity means the per-range slices concatenate — in range order —
-   into exactly the array one sequential pass produces, whatever order
-   the pool schedules the ranges in. *)
-let shard_ranges t jobs =
-  let n = Textsim.Gram_index.length t.index in
-  let bs = Textsim.Gram_index.block_size t.index in
-  let blocks = Textsim.Gram_index.block_count t.index in
-  let shards = max 1 (min jobs blocks) in
-  let per = (blocks + shards - 1) / shards in
-  List.init shards (fun i ->
-      let lo = min n (i * per * bs) in
-      let hi = min n ((i + 1) * per * bs) in
-      (lo, hi))
-  |> List.filter (fun (lo, hi) -> hi > lo)
-
-(* Exact scores over every target, sharded across the pool domains when
-   one is given and the index is large enough.  The candidate is
-   interned on the calling domain first, so the workers share one
-   frozen view (published by the task hand-off) instead of racing to
-   attach their own; each range accumulates into its own slice (the
-   pool contract forbids shared mutation) and the main domain merges by
-   concatenation — bit-identical to the sequential pass by
-   construction. *)
-let sharded_scores ?pool ?(shard_min = shard_threshold) t cand ~tau =
-  let n = Textsim.Gram_index.length t.index in
-  let seq () = Textsim.Gram_index.scores_range t.index cand ~tau ~lo:0 ~hi:n in
-  match pool with
-  | Some pool when Runtime.Pool.jobs pool > 1 && n >= shard_min ->
-    Textsim.Profile.intern (Textsim.Gram_index.dict t.index) cand;
-    let ranges = shard_ranges t (Runtime.Pool.jobs pool) in
-    (match ranges with
-    | [] | [ _ ] -> seq ()
-    | _ ->
-      let slices =
-        Runtime.Pool.map_list pool
-          (fun (lo, hi) -> Textsim.Gram_index.scores_range t.index cand ~tau ~lo ~hi)
-          ranges
-      in
-      let all = Array.make n 0.0 in
-      let touched = ref 0 and blocks = ref 0 and bskips = ref 0 and pskips = ref 0 in
-      List.iter2
-        (fun (lo, _) (slice, st) ->
-          Array.blit slice 0 all lo (Array.length slice);
-          touched := !touched + st.Textsim.Gram_index.r_touched;
-          blocks := !blocks + st.Textsim.Gram_index.r_blocks;
-          bskips := !bskips + st.Textsim.Gram_index.r_block_skips;
-          pskips := !pskips + st.Textsim.Gram_index.r_posting_skips)
-        ranges slices;
-      ( all,
-        {
-          Textsim.Gram_index.r_touched = !touched;
-          r_blocks = !blocks;
-          r_block_skips = !bskips;
-          r_posting_skips = !pskips;
-        } ))
-  | Some _ | None -> seq ()
-
-let scores ?pool ?shard_min t cand =
-  let cosines, st = sharded_scores ?pool ?shard_min t cand ~tau:0.0 in
+let scores t cand =
+  let cosines, touched = Textsim.Gram_index.scores t.index cand in
   Array.iter (reject_nan ~ctx:"scores") cosines;
   if !Obs.Recorder.enabled then begin
     Obs.Metrics.incr "kernel.batch.queries";
-    Obs.Metrics.add "kernel.batch.scored" st.Textsim.Gram_index.r_touched;
-    Obs.Metrics.add "kernel.batch.pruned"
-      (Array.length cosines - st.Textsim.Gram_index.r_touched)
+    Obs.Metrics.add "kernel.batch.scored" touched;
+    Obs.Metrics.add "kernel.batch.pruned" (Array.length cosines - touched)
   end;
   cosines
 
-let top_k ?pool ?shard_min t cand ~k ~tau =
-  let n = Textsim.Gram_index.length t.index in
-  let top, stats =
-    (* the global bound gate is one fold — always checked on the
-       calling domain before any fan-out *)
-    if tau > 0.0 && Textsim.Gram_index.cosine_upper_bound t.index cand < tau then
-      ( [],
-        {
-          Textsim.Gram_index.scored = 0;
-          pruned = n;
-          bound_skip = true;
-          blocks = Textsim.Gram_index.block_count t.index;
-          block_skips = 0;
-          posting_skips = 0;
-        } )
-    else begin
-      let all, st = sharded_scores ?pool ?shard_min t cand ~tau in
-      ( Textsim.Gram_index.select all ~k ~tau,
-        {
-          Textsim.Gram_index.scored = st.Textsim.Gram_index.r_touched;
-          pruned = n - st.Textsim.Gram_index.r_touched;
-          bound_skip = false;
-          blocks = st.Textsim.Gram_index.r_blocks;
-          block_skips = st.Textsim.Gram_index.r_block_skips;
-          posting_skips = st.Textsim.Gram_index.r_posting_skips;
-        } )
-    end
-  in
+let top_k t cand ~k ~tau =
+  let all, touched = Textsim.Gram_index.scores t.index cand in
+  let top = Textsim.Gram_index.select all ~k ~tau in
   List.iter (fun (_, s) -> reject_nan ~ctx:"top_k" s) top;
   if !Obs.Recorder.enabled then begin
     Obs.Metrics.incr "kernel.topk.queries";
-    Obs.Metrics.add "kernel.topk.scored" stats.Textsim.Gram_index.scored;
-    Obs.Metrics.add "kernel.topk.pruned" stats.Textsim.Gram_index.pruned;
-    Obs.Metrics.add "kernel.topk.block_skips" stats.Textsim.Gram_index.block_skips;
-    Obs.Metrics.add "kernel.topk.posting_skips" stats.Textsim.Gram_index.posting_skips;
-    if stats.Textsim.Gram_index.bound_skip then Obs.Metrics.incr "kernel.topk.bound_skips"
+    Obs.Metrics.add "kernel.topk.scored" touched;
+    Obs.Metrics.add "kernel.topk.pruned" (Array.length all - touched)
   end;
   List.map (fun (i, s) -> (t.names.(i), s)) top

@@ -8,9 +8,9 @@
     without locks (the interner lifecycle is "freeze after build").
     Batch {!scores} and {!top_k} record [kernel.*] observability
     counters; in particular [kernel.batch.pruned] /
-    [kernel.topk.pruned] count the pairs skipped as provable zeros (or
-    provably below threshold) — the differential suite checks those
-    skips never change a score. *)
+    [kernel.topk.pruned] count the pairs skipped as exact zeros (no
+    shared gram) — the differential suite checks those skips never
+    change a score. *)
 
 type t
 
@@ -27,49 +27,19 @@ val patch : t -> ((string * string) * Textsim.Profile.t) list -> t option
     caller must rebuild.  Names not present in the kernel (e.g. columns
     quarantined at warm time) are ignored. *)
 
-val size : t -> int
-val vocabulary : t -> int
-val dict : t -> Textsim.Gram_dict.t
 val slot : t -> table:string -> attr:string -> int option
-val name : t -> int -> string * string
 
-val intern : t -> Textsim.Profile.t -> unit
-(** Attach the kernel's interned view to a candidate profile so its
-    pairwise cosines against the targets take the int merge join. *)
-
-val shard_threshold : int
-(** Minimum target count (256) below which a query is not worth
-    sharding across pool domains; also the floor the matching layer
-    uses to decide whether to hoist batch scoring out of the
-    per-attribute fan-out. *)
-
-val scores :
-  ?pool:Runtime.Pool.t -> ?shard_min:int -> t -> Textsim.Profile.t -> float array
+val scores : t -> Textsim.Profile.t -> float array
 (** Exact cosine against every target, indexed by {!slot}; bit-identical
     to the pairwise string path (see {!Textsim.Gram_index.scores}).
-    With [pool] (jobs > 1) and at least [shard_min]
-    (default {!shard_threshold}) targets, the term-at-a-time
-    accumulation is sharded across the pool domains over contiguous
-    block-aligned slot ranges; each domain fills its own slice and the
-    merge is concatenation, so the sharded array is bit-identical to
-    the sequential one.  Must be called from the domain that owns the
-    pool (the pool is not re-entrant).  Raises [Invalid_argument] if
-    any cosine is NaN — the boundary rejects a poisoned score instead
-    of letting it reach normalisation. *)
+    Raises [Invalid_argument] if any cosine is NaN — the boundary
+    rejects a poisoned score instead of letting it reach
+    normalisation. *)
 
 val top_k :
-  ?pool:Runtime.Pool.t ->
-  ?shard_min:int ->
-  t ->
-  Textsim.Profile.t ->
-  k:int ->
-  tau:float ->
-  ((string * string) * float) list
+  t -> Textsim.Profile.t -> k:int -> tau:float -> ((string * string) * float) list
 (** Up to [k] targets with cosine >= [tau], best first, ties at the
     rank-k boundary broken by ascending target slot (= interned column
-    id), so pruned and exact paths keep the identical survivor; equals
-    exhaustive scoring + filter + sort.  The global upper-bound gate
-    and the final selection run on the calling domain; the scoring pass
-    between them shards like {!scores} (per-shard block-max pruning
-    included — skip decisions are per block, hence shard-local).
-    Rejects NaN like {!scores}. *)
+    id): {!Textsim.Gram_index.select} over the exact {!scores}, so it
+    equals exhaustive pairwise scoring + filter + sort.  Rejects NaN
+    like {!scores}. *)

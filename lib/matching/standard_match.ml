@@ -318,9 +318,9 @@ type built_pair = {
    asserts it.  Note [tau = 0.0] keeps zero-score textual targets in
    both paths (0 >= 0), so a filter with a full-width k degenerates to
    the unfiltered pipeline exactly. *)
-let qgram_candidates ?pool ~kernel ~target_cols profile ~k ~tau =
+let qgram_candidates ~kernel ~target_cols profile ~k ~tau =
   match kernel with
-  | Some kern -> Score_kernel.top_k ?pool kern profile ~k ~tau
+  | Some kern -> Score_kernel.top_k kern profile ~k ~tau
   | None ->
     let textual =
       List.filter
@@ -399,60 +399,6 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
   if kernel then
     Obs.Trace.with_span "warm_families" (fun () ->
         List.iter (Column.warm_families ~pool cache) (Database.tables source));
-  (* Sharded-kernel pre-pass.  [Runtime.Pool] is not re-entrant, so the
-     kernel's sharded TAAT can only fan out from this domain — never
-     from inside the per-attribute units below.  When the target side
-     is big enough for sharding to pay (>= [Score_kernel.shard_threshold]
-     slots), the textual source profiles are warmed pool-parallel first
-     (through the shared memo the units read), then each filter probe /
-     batch scoring runs here with the pool reaching the kernel inner
-     loop.  The units consult the precomputed tables — read-only during
-     the fan-out — and fall back inline for anything the pre-pass
-     skipped; sharded and sequential accumulation concatenate to the
-     same array, so results are bit-identical either way.  Below the
-     threshold the per-attribute fan-out is the better use of the
-     domains and the pre-pass stays off. *)
-  let pre_sharded =
-    jobs > 1
-    && (match score_kernel with
-       | Some k -> Score_kernel.size k >= Score_kernel.shard_threshold
-       | None -> false)
-  in
-  let pre_filter = Hashtbl.create 16 in
-  let pre_batch = Hashtbl.create 16 in
-  if pre_sharded then
-    Obs.Trace.with_span "kernel_prepass" (fun () ->
-        let textual_pairs =
-          Array.to_list pairs
-          |> List.filter_map (fun (src_tbl, src_attr) ->
-                 let col = Column.of_table ~cache src_tbl src_attr in
-                 if Relational.Attribute.is_textual (Column.attribute col) then
-                   Some (Table.name src_tbl, src_attr, col)
-                 else None)
-        in
-        (* a failing profile is left for its unit to re-raise, so the
-           quarantine report stays identical to the non-sharded run *)
-        ignore
-          (Runtime.Pool.map_list pool
-             (fun (_, _, col) ->
-               match Column.profile col with _ -> () | exception _ -> ())
-             textual_pairs);
-        let qgram_in_suite =
-          List.exists (fun (mm : Matcher.t) -> mm.Matcher.kernel = Matcher.Qgram_cosine) matchers
-        in
-        List.iter
-          (fun (tname, attr, col) ->
-            match Column.profile col with
-            | exception _ -> ()
-            | profile -> (
-              match (filter, score_kernel) with
-              | Some { k; tau }, _ ->
-                Hashtbl.replace pre_filter (tname, attr)
-                  (qgram_candidates ~pool ~kernel:score_kernel ~target_cols profile ~k ~tau)
-              | None, Some kern when qgram_in_suite ->
-                Hashtbl.replace pre_batch (tname, attr) (Score_kernel.scores ~pool kern profile)
-              | None, _ -> ()))
-          textual_pairs);
   let score_pair (src_tbl, src_attr) =
     let src_name = Table.name src_tbl in
     Robust.Fault.check Robust.Fault.Matcher_score ~key:(src_name ^ "." ^ src_attr);
@@ -469,10 +415,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
       match filter with
       | Some { k; tau } when src_textual ->
         let cands =
-          match Hashtbl.find_opt pre_filter (src_name, src_attr) with
-          | Some cands -> cands
-          | None ->
-            qgram_candidates ~kernel:score_kernel ~target_cols (Column.profile src_col) ~k ~tau
+          qgram_candidates ~kernel:score_kernel ~target_cols (Column.profile src_col) ~k ~tau
         in
         let tbl = Hashtbl.create 32 in
         List.iter (fun (key, s) -> Hashtbl.replace tbl key s) cands;
@@ -511,12 +454,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
           let batch =
             match (matcher.Matcher.kernel, score_kernel) with
             | Matcher.Qgram_cosine, Some k when src_textual && not filtering ->
-              let arr =
-                match Hashtbl.find_opt pre_batch (src_name, src_attr) with
-                | Some arr -> arr
-                | None -> Score_kernel.scores k (Column.profile src_col)
-              in
-              Some (k, arr)
+              Some (k, Score_kernel.scores k (Column.profile src_col))
             | _ -> None
           in
           List.iter

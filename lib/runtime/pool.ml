@@ -33,6 +33,18 @@ let worker_loop t =
   in
   loop ()
 
+let shutdown t =
+  Mutex.lock t.mutex;
+  t.stop <- true;
+  Condition.broadcast t.work_available;
+  Mutex.unlock t.mutex;
+  List.iter Domain.join t.workers;
+  t.workers <- []
+
+(* Spawning fails past the runtime's domain limit (128 in OCaml 5.1).
+   The workers already spawned are joined before the failure propagates:
+   left running, they would hold the process's domain slots and every
+   later pool would fail to spawn too. *)
 let create ~jobs =
   let t =
     {
@@ -46,17 +58,15 @@ let create ~jobs =
       workers = [];
     }
   in
-  if jobs > 1 then
-    t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  (try
+     for _ = 2 to jobs do
+       t.workers <- Domain.spawn (fun () -> worker_loop t) :: t.workers
+     done
+   with e ->
+     let bt = Printexc.get_raw_backtrace () in
+     shutdown t;
+     Printexc.raise_with_backtrace e bt);
   t
-
-let shutdown t =
-  Mutex.lock t.mutex;
-  t.stop <- true;
-  Condition.broadcast t.work_available;
-  Mutex.unlock t.mutex;
-  List.iter Domain.join t.workers;
-  t.workers <- []
 
 (* Observability wrapper around a chunk body: queue-wait and run-time
    histograms, busy-time accounting, and a span that nests under the

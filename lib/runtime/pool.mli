@@ -23,7 +23,10 @@ type t
 val create : jobs:int -> t
 (** Spawn [max 0 (jobs - 1)] worker domains; the submitting domain
     works through its own share of the chunks, so [jobs] bounds the
-    total number of domains working on a batch. *)
+    total number of domains working on a batch.  When the runtime
+    refuses a spawn (past its domain limit), the workers already
+    spawned are joined and the exception is re-raised, so a later
+    [create] can still spawn. *)
 
 val jobs : t -> int
 

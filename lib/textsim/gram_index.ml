@@ -3,7 +3,6 @@ open Bigarray
 type t = {
   dict : Gram_dict.t;
   targets : Profile.t array;
-  totals : float array;
   norms : float array;
   (* flat CSR posting arena: one row per gram id, row ids = target
      slots (ascending), row vals = the relative frequency
@@ -13,110 +12,11 @@ type t = {
   (* flat CSR profile arena: one row per target slot, row ids = gram
      ids (ascending), row vals = integer gram counts.  The columnar
      image of the interned target profiles; [patch] reads old rows from
-     here, and partition-style slicing is O(1) offset arithmetic. *)
+     here. *)
   tprof : Csr.ints;
-  (* per gram id: max posting frequency, for the global top-k bound *)
-  post_max : float array;
-  (* smallest non-zero target norm, for the global top-k bound *)
-  min_norm : float;
-  (* ---- block-max structures ----
-     Target slots are tiled into blocks of [block_size]; each gram's
-     posting row is cut into segments, one per block it posts into.
-     Per segment: the block index, the absolute posting index where the
-     segment starts (its end is the next segment's start — segments
-     tile the posting buffer), and the max frequency within the
-     segment.  Together with the per-block minimum non-zero norm these
-     give a sound per-block cosine upper bound, so [top_k] can skip a
-     whole block's postings when the bound falls below tau. *)
-  block_size : int;
-  n_blocks : int;
-  block_min_norm : float array;
-  seg_off : int array; (* n_grams + 1: segment span of each gram *)
-  seg_block : int array;
-  seg_start : int array;
-  seg_max : float array;
 }
 
-(* Derive every redundant structure (per-gram maxima, block segments,
-   per-block norms, global min norm) from the arenas.  Shared by
-   [build] and [patch], so a patched index's pruning structures are the
-   same pure function of the (bit-identical) arenas a cold build
-   computes. *)
-let finalize ~dict ~targets ~totals ~norms ~post ~tprof ~block_size =
-  let n_grams = Gram_dict.size dict in
-  let n = Array.length targets in
-  let n_blocks = (n + block_size - 1) / block_size in
-  let offs = post.Csr.f_offsets and pids = post.Csr.f_ids and pvals = post.Csr.f_vals in
-  let post_max = Array.make n_grams 0.0 in
-  let seg_off = Array.make (n_grams + 1) 0 in
-  let nsegs = ref 0 in
-  for g = 0 to n_grams - 1 do
-    seg_off.(g) <- !nsegs;
-    let lo = Array1.unsafe_get offs g and hi = Array1.unsafe_get offs (g + 1) in
-    let last_block = ref (-1) in
-    for k = lo to hi - 1 do
-      let b = Int32.to_int (Array1.unsafe_get pids k) / block_size in
-      if b <> !last_block then begin
-        incr nsegs;
-        last_block := b
-      end
-    done
-  done;
-  seg_off.(n_grams) <- !nsegs;
-  let seg_block = Array.make (max 1 !nsegs) 0 in
-  let seg_start = Array.make (max 1 !nsegs) 0 in
-  let seg_max = Array.make (max 1 !nsegs) 0.0 in
-  let si = ref 0 in
-  for g = 0 to n_grams - 1 do
-    let lo = Array1.unsafe_get offs g and hi = Array1.unsafe_get offs (g + 1) in
-    let m = ref 0.0 in
-    let last_block = ref (-1) in
-    for k = lo to hi - 1 do
-      let f = Array1.unsafe_get pvals k in
-      m := Float.max !m f;
-      let b = Int32.to_int (Array1.unsafe_get pids k) / block_size in
-      if b <> !last_block then begin
-        seg_block.(!si) <- b;
-        seg_start.(!si) <- k;
-        seg_max.(!si) <- f;
-        incr si;
-        last_block := b
-      end
-      else seg_max.(!si - 1) <- Float.max seg_max.(!si - 1) f
-    done;
-    post_max.(g) <- !m
-  done;
-  let block_min_norm = Array.make (max 1 n_blocks) infinity in
-  for s = 0 to n - 1 do
-    let nm = norms.(s) in
-    let b = s / block_size in
-    if nm > 0.0 && nm < block_min_norm.(b) then block_min_norm.(b) <- nm
-  done;
-  let min_norm =
-    Array.fold_left (fun m nm -> if nm > 0.0 && nm < m then nm else m) infinity norms
-  in
-  {
-    dict;
-    targets;
-    totals;
-    norms;
-    post;
-    tprof;
-    post_max;
-    min_norm;
-    block_size;
-    n_blocks;
-    block_min_norm;
-    seg_off;
-    seg_block;
-    seg_start;
-    seg_max;
-  }
-
-let default_block_size = 64
-
-let build ?(block_size = default_block_size) targets =
-  if block_size <= 0 then invalid_arg "Gram_index.build: block_size must be positive";
+let build targets =
   let grams =
     Array.fold_left
       (fun acc p ->
@@ -158,16 +58,9 @@ let build ?(block_size = default_block_size) targets =
           ids
       end)
     targets;
-  let norms = Array.map Profile.norm targets in
-  let totals = Array.map (fun p -> float_of_int (Profile.total p)) targets in
-  finalize ~dict ~targets ~totals ~norms ~post ~tprof ~block_size
+  { dict; targets; norms = Array.map Profile.norm targets; post; tprof }
 
-let dict t = t.dict
-let length t = Array.length t.targets
 let gram_count t = Gram_dict.size t.dict
-let target t i = t.targets.(i)
-let block_size t = t.block_size
-let block_count t = t.n_blocks
 let arena_bytes t = Csr.floats_bytes t.post + Csr.ints_bytes t.tprof
 
 (* Iterate the candidate's in-vocabulary grams in gram-lexicographic
@@ -190,170 +83,38 @@ let iter_cand t cand f =
         | Some id -> f id (float_of_int c /. tc))
       (Profile.counts cand)
 
-(* First segment index in [s0, s1) whose block is >= blo. *)
-let seg_lower_bound t s0 s1 blo =
-  if blo = 0 then s0
-  else begin
-    let lo = ref s0 and hi = ref s1 in
-    while !lo < !hi do
-      let mid = (!lo + !hi) / 2 in
-      if t.seg_block.(mid) < blo then lo := mid + 1 else hi := mid
-    done;
-    !lo
-  end
-
-(* Segments tile the whole posting buffer in order, so a segment ends
-   where the next one starts (the next segment may belong to the next
-   gram — its start is still this row's end). *)
-let seg_end t k =
-  if k + 1 < t.seg_off.(Gram_dict.size t.dict) then t.seg_start.(k + 1)
-  else Csr.floats_nnz t.post
-
-type range_stats = {
-  r_touched : int;
-  r_blocks : int;
-  r_block_skips : int;
-  r_posting_skips : int;
-}
-
-(* Exact TAAT accumulation over the target slots [lo, hi), with
-   block-max pruning when [tau > 0].
-
-   Exactness: for each surviving target, the terms that reach its
-   accumulator are exactly the candidate∩target grams, visited in the
-   candidate's gram-sorted order — the same terms, in the same order,
-   as the string merge join of [Profile.cosine], so the final quotients
-   agree bit for bit.  Because a range restriction only drops whole
-   targets (never a term of a surviving target), the slice equals the
-   corresponding slice of a full scoring pass — which is what makes
-   sharded accumulation's concatenated slices bit-identical to the
-   sequential pass.
-
-   Block-max soundness: per block [b], pass 1 accumulates
-   [bound(b) = sum fc * seg_max] over the candidate grams in the same
-   gram order as the exact pass.  Termwise [freq <= seg_max] for every
-   posting of [b], the bound's term sequence is a superset of any
-   target's exact term sequence in aligned order, and IEEE addition /
-   multiplication / division of non-negative operands are monotone, so
-   [bound(b) / (nc * block_min_norm(b))] computed in floats dominates
-   every exact cosine of the block.  A block is skipped only when that
-   dominating value is < tau (or the block has no non-zero-norm target,
-   whose cosines are exactly 0 < tau), so no qualifying target is ever
-   pruned. *)
-let scores_range t cand ~tau ~lo ~hi =
+(* Exact term-at-a-time accumulation over every target.  For each
+   target, the terms that reach its accumulator are exactly the
+   candidate∩target grams, visited in the candidate's gram-sorted order
+   — the same terms, in the same order, as the string merge join of
+   [Profile.cosine], so the final quotients agree bit for bit. *)
+let scores t cand =
   let n = Array.length t.targets in
-  if lo < 0 || hi < lo || hi > n then invalid_arg "Gram_index.scores_range: bad range";
-  if lo mod t.block_size <> 0 || (hi <> n && hi mod t.block_size <> 0) then
-    invalid_arg "Gram_index.scores_range: range must be block-aligned";
-  let len = hi - lo in
-  let acc = Array.make (max 1 len) 0.0 in
-  let touched = Array.make (max 1 len) false in
+  let acc = Array.make n 0.0 in
+  let touched = Array.make n false in
   let cand_total = Profile.total cand in
   let nc = Profile.norm cand in
-  let blo = lo / t.block_size in
-  let bhi = (hi + t.block_size - 1) / t.block_size in
-  let range_blocks = max 0 (bhi - blo) in
-  let block_skips = ref 0 in
-  let posting_skips = ref 0 in
   if cand_total > 0 then begin
-    let skip =
-      if tau > 0.0 && nc > 0.0 && range_blocks > 0 then begin
-        (* pass 1: per-block dot-product upper bounds *)
-        let bounds = Array.make range_blocks 0.0 in
-        iter_cand t cand (fun id fc ->
-            let s1 = t.seg_off.(id + 1) in
-            let k = ref (seg_lower_bound t t.seg_off.(id) s1 blo) in
-            while !k < s1 && t.seg_block.(!k) < bhi do
-              let b = t.seg_block.(!k) - blo in
-              bounds.(b) <- bounds.(b) +. (fc *. t.seg_max.(!k));
-              incr k
-            done);
-        let sk = Array.make range_blocks false in
-        for b = 0 to range_blocks - 1 do
-          let mn = t.block_min_norm.(blo + b) in
-          if mn = infinity || bounds.(b) /. (nc *. mn) < tau then begin
-            sk.(b) <- true;
-            incr block_skips
-          end
-        done;
-        Some sk
-      end
-      else None
-    in
-    (* pass 2: exact accumulation, segment-walked; a segment of a
-       skipped block is jumped over in O(1) *)
-    let pids = t.post.Csr.f_ids and pvals = t.post.Csr.f_vals in
+    let offs = t.post.Csr.f_offsets
+    and pids = t.post.Csr.f_ids
+    and pvals = t.post.Csr.f_vals in
     iter_cand t cand (fun id fc ->
-        let s1 = t.seg_off.(id + 1) in
-        let k = ref (seg_lower_bound t t.seg_off.(id) s1 blo) in
-        while !k < s1 && t.seg_block.(!k) < bhi do
-          let pstart = t.seg_start.(!k) in
-          let pend = seg_end t !k in
-          (match skip with
-          | Some sk when sk.(t.seg_block.(!k) - blo) ->
-            posting_skips := !posting_skips + (pend - pstart)
-          | Some _ | None ->
-            for p = pstart to pend - 1 do
-              let s = Int32.to_int (Array1.unsafe_get pids p) - lo in
-              acc.(s) <- acc.(s) +. (fc *. Array1.unsafe_get pvals p);
-              touched.(s) <- true
-            done);
-          incr k
+        for p = Array1.unsafe_get offs id to Array1.unsafe_get offs (id + 1) - 1 do
+          let s = Int32.to_int (Array1.unsafe_get pids p) in
+          acc.(s) <- acc.(s) +. (fc *. Array1.unsafe_get pvals p);
+          touched.(s) <- true
         done)
   end;
   let touched_n = ref 0 in
-  for s = 0 to len - 1 do
+  for s = 0 to n - 1 do
     if touched.(s) then incr touched_n;
-    let slot = lo + s in
     acc.(s) <-
-      (if cand_total = 0 || Profile.total t.targets.(slot) = 0 then 0.0
-       else if nc = 0.0 || t.norms.(slot) = 0.0 then 0.0
-       else acc.(s) /. (nc *. t.norms.(slot)))
+      (if cand_total = 0 || Profile.total t.targets.(s) = 0 then 0.0
+       else if nc = 0.0 || t.norms.(s) = 0.0 then 0.0
+       else acc.(s) /. (nc *. t.norms.(s)))
   done;
-  let acc = if len = Array.length acc then acc else Array.sub acc 0 len in
-  ( acc,
-    {
-      r_touched = !touched_n;
-      r_blocks = range_blocks;
-      r_block_skips = !block_skips;
-      r_posting_skips = !posting_skips;
-    } )
+  (acc, !touched_n)
 
-let scores t cand =
-  let acc, st = scores_range t cand ~tau:0.0 ~lo:0 ~hi:(Array.length t.targets) in
-  (acc, st.r_touched)
-
-(* Upper bound on [cosine cand target] for *any* target: every dot term
-   is at most the candidate frequency times the gram's largest posting
-   frequency, and dividing by the smallest target norm — a deliberately
-   *global* minimum, so the bound is one fold however many targets —
-   can only overestimate the quotient.  Sound, so a bound below the
-   threshold proves no target can qualify; the per-block norms inside
-   [scores_range] tighten the same idea block by block once this coarse
-   gate passes. *)
-let cosine_upper_bound t cand =
-  let cand_total = Profile.total cand in
-  if cand_total = 0 then 0.0
-  else begin
-    let dot_ub = ref 0.0 in
-    iter_cand t cand (fun id fc -> dot_ub := !dot_ub +. (fc *. t.post_max.(id)));
-    let nc = Profile.norm cand in
-    if nc = 0.0 || t.min_norm = infinity then 0.0 else !dot_ub /. (nc *. t.min_norm)
-  end
-
-type topk_stats = {
-  scored : int;
-  pruned : int;
-  bound_skip : bool;
-  blocks : int;
-  block_skips : int;
-  posting_skips : int;
-}
-
-(* Deterministic threshold-filter / sort / truncate over a full scores
-   array — the selection step shared by the one-shot and the sharded
-   top-k paths, so both break rank-k ties identically (score desc, slot
-   asc). *)
 let select all ~k ~tau =
   let hits = ref [] in
   for s = Array.length all - 1 downto 0 do
@@ -368,47 +129,17 @@ let select all ~k ~tau =
   in
   List.filteri (fun i _ -> i < k) sorted
 
-let top_k t cand ~k ~tau =
-  let n = Array.length t.targets in
-  if tau > 0.0 && cosine_upper_bound t cand < tau then
-    (* no target can reach tau: prove it once, skip all postings *)
-    ( [],
-      {
-        scored = 0;
-        pruned = n;
-        bound_skip = true;
-        blocks = t.n_blocks;
-        block_skips = 0;
-        posting_skips = 0;
-      } )
-  else begin
-    let all, st = scores_range t cand ~tau ~lo:0 ~hi:n in
-    let top = select all ~k ~tau in
-    ( top,
-      {
-        scored = st.r_touched;
-        pruned = n - st.r_touched;
-        bound_skip = false;
-        blocks = st.r_blocks;
-        block_skips = st.r_block_skips;
-        posting_skips = st.r_posting_skips;
-      } )
-  end
-
 (* Slot replacement against the frozen dictionary.  The dict never
    grows (id order = gram order is what makes the interned merge join's
    accumulation order match the string path), so an update whose
    profile holds an out-of-vocabulary gram cannot be expressed — we
    return [None] and the caller rebuilds.  Grams whose postings empty
    out stay in the dictionary as zero-length arena rows; they are
-   score-neutral: the accumulation walks an empty row (adds nothing)
-   and [cosine_upper_bound] adds [fc *. 0.0] — a +0.0 term on a
-   non-negative accumulator, bitwise invisible.  Touched posting rows
-   are rebuilt with the exact folds [build] uses and untouched rows are
-   bulk-blitted (bit-preserving) into the new arena, then [finalize]
-   recomputes the pruning structures from the arenas, so every score of
-   the patched index is bit-identical to a cold [build] over the new
-   targets.
+   score-neutral: the accumulation walks an empty row and adds nothing.
+   Touched posting rows are rebuilt with the exact folds [build] uses
+   and untouched rows are bulk-blitted (bit-preserving) into the new
+   arena, so every score of the patched index is bit-identical to a
+   cold [build] over the new targets.
 
    Cost is honest O(delta) posting work plus an O(arena) copy: the
    splice allocates fresh flat buffers and memcpy-blits the untouched
@@ -427,7 +158,6 @@ let patch t updates =
     let n = Array.length t.targets in
     let n_grams = Gram_dict.size t.dict in
     let targets = Array.copy t.targets in
-    let totals = Array.copy t.totals in
     let norms = Array.copy t.norms in
     (* sequential replacement semantics: a slot listed twice keeps the
        last profile, exactly as iterating the updates in order would *)
@@ -583,8 +313,7 @@ let patch t updates =
       (fun slot ->
         let p = Hashtbl.find repl slot in
         norms.(slot) <- Profile.norm p;
-        totals.(slot) <- float_of_int (Profile.total p);
         targets.(slot) <- p)
       patched_slots;
-    Some (finalize ~dict:t.dict ~targets ~totals ~norms ~post ~tprof ~block_size:t.block_size)
+    Some { t with targets; norms; post; tprof }
   end

@@ -1,5 +1,5 @@
 (** Gram-based inverted index over a fixed set of target profiles, with
-    batch cosine scoring and threshold/top-k retrieval.
+    exact batch cosine scoring.
 
     [build] freezes a {!Gram_dict} over every target gram, interns the
     targets in place (so pairwise {!Profile.cosine} against them takes
@@ -14,24 +14,15 @@
     terms, in the identical gram-sorted order, as the string merge join
     of {!Profile.cosine}, so its cosines are bit-identical — including
     the implicit 0.0 of targets that share no gram with the candidate,
-    which are pruned without being visited.  {!top_k} only decides
-    {e which} pairs are worth returning; every score it returns comes
-    from the same exact accumulation, and both its pruning levels — the
-    global {!cosine_upper_bound} gate and the per-block block-max
-    bounds (see {!scores_range}) — are conservative, so pruned
-    retrieval equals exhaustive scoring followed by filter/sort/take.
+    which are never visited.  {!select} only decides {e which} of those
+    exact scores to return, so top-k retrieval equals exhaustive
+    scoring followed by filter/sort/take.
 
     Immutable after [build]; safe to read from worker domains. *)
 
 type t
 
-val build : ?block_size:int -> Profile.t array -> t
-(** [block_size] (default 64) sets the block-max granularity: target
-    slots are tiled into blocks of that many slots, and each gram's
-    posting row is segmented per block it posts into, recording the
-    segment's maximum frequency.  Smaller blocks bound tighter but cost
-    more segment bookkeeping; the value changes pruning {e cost} only,
-    never a score.  Raises [Invalid_argument] when not positive. *)
+val build : Profile.t array -> t
 
 val patch : t -> (int * Profile.t) list -> t option
 (** [patch t [(slot, p); ...]] returns a new index equal to rebuilding
@@ -47,86 +38,23 @@ val patch : t -> (int * Profile.t) list -> t option
     replacement profile holds an out-of-vocabulary gram; the caller
     must rebuild from scratch.  Grams whose postings empty out remain
     in the dictionary as zero-length arena rows but are score-neutral
-    (an empty row contributes nothing to the accumulation; its zero max
-    adds an exact +0.0 to {!cosine_upper_bound}), so {!scores},
-    {!cosine_upper_bound} and {!top_k} on the patched index are
-    bit-identical to a cold {!build} over the new target set. *)
-
-val dict : t -> Gram_dict.t
-val length : t -> int
-(** Number of indexed targets. *)
+    (an empty row contributes nothing to the accumulation), so
+    {!scores} on the patched index is bit-identical to a cold {!build}
+    over the new target set. *)
 
 val gram_count : t -> int
 (** Vocabulary size. *)
-
-val target : t -> int -> Profile.t
-
-val block_size : t -> int
-val block_count : t -> int
-(** Number of target-slot blocks ([ceil (length / block_size)]). *)
 
 val arena_bytes : t -> int
 (** Flat-buffer footprint of the posting and profile arenas. *)
 
 val scores : t -> Profile.t -> float array * int
 (** [(cosines, touched)]: [cosines.(i)] is bit-identical to
-    [Profile.cosine cand (target t i)]; [touched] counts targets
-    sharing at least one gram — the remaining [length t - touched]
-    pairs were pruned as exact zeros. *)
-
-type range_stats = {
-  r_touched : int;  (** targets in range sharing a gram (and not block-skipped) *)
-  r_blocks : int;  (** blocks covering the range *)
-  r_block_skips : int;  (** blocks skipped by the per-block bound *)
-  r_posting_skips : int;  (** postings jumped over inside skipped blocks *)
-}
-
-val scores_range :
-  t -> Profile.t -> tau:float -> lo:int -> hi:int -> float array * range_stats
-(** Exact cosines of the targets in [slot range [lo, hi))], as a
-    [hi - lo] slice: element [i] is bit-identical to
-    [fst (scores t cand)].(lo + i) whenever it is returned at all.
-    [lo] (and [hi], unless it is [length t]) must be multiples of
-    {!block_size} — a range is a whole number of blocks, which is what
-    keeps sharded accumulation's concatenated slices equal to one
-    sequential pass.
-
-    With [tau > 0.0], block-max pruning applies: a first pass
-    accumulates a per-block upper bound from the segment maxima (same
-    gram order as the exact pass), and any block whose bound over
-    [candidate norm × block min norm] falls below [tau] is skipped
-    whole — its targets come back as 0.0.  The bound is sound under
-    IEEE float monotonicity (termwise dominance in aligned accumulation
-    order), so a skipped target's true cosine is provably < [tau]:
-    callers filtering by [tau] see identical survivors with identical
-    scores.  [tau <= 0.0] disables skipping and the slice is exact
-    everywhere. *)
-
-val cosine_upper_bound : t -> Profile.t -> float
-(** Sound upper bound on the candidate's cosine against {e any} target:
-    max-posting-frequency dot bound over the {e globally} smallest
-    non-zero target norm.  Deliberately coarse — one fold regardless of
-    target count — it only gates a whole query; the per-block norms
-    inside {!scores_range} tighten the same bound block by block. *)
-
-type topk_stats = {
-  scored : int;  (** targets whose exact cosine was accumulated *)
-  pruned : int;  (** targets skipped (no shared gram, bound or block skip) *)
-  bound_skip : bool;  (** whole query rejected by {!cosine_upper_bound} *)
-  blocks : int;  (** target-slot blocks considered *)
-  block_skips : int;  (** blocks skipped by the block-max bound *)
-  posting_skips : int;  (** postings jumped over inside skipped blocks *)
-}
+    [Profile.cosine cand target_i]; [touched] counts targets sharing at
+    least one gram — the other pairs were skipped as exact zeros. *)
 
 val select : float array -> k:int -> tau:float -> (int * float) list
-(** Threshold-filter, sort (score desc, slot asc) and take [k] over a
-    full scores array — the deterministic selection step shared by
-    {!top_k} and the sharded top-k path in the matching layer, so both
-    break rank-k ties identically. *)
-
-val top_k : t -> Profile.t -> k:int -> tau:float -> (int * float) list * topk_stats
-(** Up to [k] targets with cosine >= [tau], sorted by decreasing score
-    (ties broken on ascending target slot).  Equal to exhaustively
-    scoring every target, filtering by [tau], sorting and truncating —
-    the global bound gate and the block-max skips only ever discard
-    targets provably below [tau]. *)
+(** Up to [k] slots of a full scores array with score >= [tau], sorted
+    by decreasing score, ties broken on ascending slot — the
+    deterministic top-k step, so every caller breaks rank-k ties
+    identically. *)

@@ -183,14 +183,6 @@ let sum ?q profiles =
     profiles;
   t
 
-let to_weighted_bag t =
-  if t.total = 0 then []
-  else begin
-    let denom = float_of_int t.total in
-    Array.to_list (sorted_counts t)
-    |> List.map (fun (gram, n) -> (gram, float_of_int n /. denom))
-  end
-
 (* Same fold, in the same gram-sorted order, as the historical per-call
    norm computation inside [cosine] — cached values are bit-identical
    to freshly folded ones.  The packed branch folds the count column
@@ -316,7 +308,7 @@ let rec kernel_pair a b =
     kernel_pair a b
   | (Some _ | None), _ -> None
 
-(* Similarities walk the two sorted-count arrays with a merge join: no
+(* Cosine walks the two sorted-count arrays with a merge join: no
    hashtable iteration, so the float accumulation order is a function of
    the profile's *contents* alone.  The interned path replaces the
    per-gram [String.compare] with int comparisons; both paths add the
@@ -359,40 +351,4 @@ let cosine a b =
       done);
     let na = norm a and nb = norm b in
     if na = 0.0 || nb = 0.0 then 0.0 else !dot /. (na *. nb)
-  end
-
-let jaccard a b =
-  let la = gram_count a and lb = gram_count b in
-  if la = 0 && lb = 0 then 1.0
-  else begin
-    let inter = ref 0 in
-    (match kernel_pair a b with
-    | Some (ia, ib) ->
-      let na = Array.length ia.ids and nb = Array.length ib.ids in
-      let i = ref 0 and j = ref 0 in
-      while !i < na && !j < nb do
-        let ga = ia.ids.(!i) and gb = ib.ids.(!j) in
-        if ga = gb then begin
-          incr inter;
-          incr i;
-          incr j
-        end
-        else if ga < gb then incr i
-        else incr j
-      done
-    | None ->
-      let ca = sorted_counts a and cb = sorted_counts b in
-      let i = ref 0 and j = ref 0 in
-      while !i < la && !j < lb do
-        let c = String.compare (fst ca.(!i)) (fst cb.(!j)) in
-        if c = 0 then begin
-          incr inter;
-          incr i;
-          incr j
-        end
-        else if c < 0 then incr i
-        else incr j
-      done);
-    let union = la + lb - !inter in
-    if union = 0 then 0.0 else float_of_int !inter /. float_of_int union
   end

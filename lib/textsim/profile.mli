@@ -12,8 +12,8 @@
     gram-sorted, by the dictionary's construction), alongside a cached
     L2 norm of the frequency vector.  When two profiles share a
     dictionary and at least one of them is fully in-vocabulary,
-    {!cosine} and {!jaccard} switch from the string merge join to an int
-    merge join — no [String.compare] per gram, no per-call norm folds —
+    {!cosine} switches from the string merge join to an int merge
+    join — no [String.compare] per gram, no per-call norm folds —
     and, because both joins add the identical terms in the identical
     (gram-lexicographic) order, the interned scores are bit-identical to
     the string-path scores.  Profiles serialise by gram {e string}
@@ -83,9 +83,6 @@ val sum : ?q:int -> t list -> t
     build.  [q] defaults to the first input's gram length (3 when the
     list is empty); raises [Invalid_argument] on mixed gram lengths. *)
 
-val to_weighted_bag : t -> (string * float) list
-(** Relative frequencies (sum to 1 when non-empty). *)
-
 val norm : t -> float
 (** L2 norm of the relative-frequency vector, cached after the first
     call (and recomputed after {!add}).  Equal — bitwise — to the fold
@@ -110,7 +107,3 @@ val cosine : t -> t -> float
 (** Cosine similarity of the two frequency vectors.  Uses the int
     merge join when an interned fast path applies (see above), the
     string merge join otherwise; the two agree bit for bit. *)
-
-val jaccard : t -> t -> float
-(** Set Jaccard over distinct grams; same fast-path contract as
-    {!cosine}. *)

@@ -73,20 +73,7 @@ let check_index_identity msg patched cold =
       Alcotest.(check bool)
         (Printf.sprintf "%s: scores bitwise (cand %d)" msg i)
         true (sp = sc);
-      Alcotest.(check int) (Printf.sprintf "%s: touched (cand %d)" msg i) tc tp;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: upper bound bitwise (cand %d)" msg i)
-        true
-        (Textsim.Gram_index.cosine_upper_bound patched cand
-        = Textsim.Gram_index.cosine_upper_bound cold cand);
-      List.iter
-        (fun tau ->
-          let rp, _ = Textsim.Gram_index.top_k patched cand ~k:3 ~tau in
-          let rc, _ = Textsim.Gram_index.top_k cold cand ~k:3 ~tau in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s: top_k bitwise (cand %d, tau %.2f)" msg i tau)
-            true (rp = rc))
-        [ 0.0; 0.3; 0.9 ])
+      Alcotest.(check int) (Printf.sprintf "%s: touched (cand %d)" msg i) tc tp)
     candidates
 
 let test_index_patch_identity () =

@@ -1,7 +1,7 @@
 (* Differential oracle for the interned scoring kernel (DESIGN.md,
    "Scoring kernel").  Every fast path — int merge joins over interned
    profiles, batch scoring through the gram inverted index, top-k
-   retrieval with upper-bound pruning, view profiles composed from
+   retrieval over the batch scores, view profiles composed from
    condition-attribute partitions — must produce results *bit-identical*
    to the legacy string path: same grams, same counts, same float bits.
    Floats are compared via their IEEE bits (or %h fingerprints), so any
@@ -39,21 +39,18 @@ let test_interned_pairwise () =
         (fun j p2 ->
           let tag op = Printf.sprintf "%s %d~%d" op i j in
           let oracle_cos = Textsim.Profile.cosine (fresh p1) (fresh p2) in
-          let oracle_jac = Textsim.Profile.jaccard (fresh p1) (fresh p2) in
           (* both sides interned against a shared dictionary *)
           let a = fresh p1 and b = fresh p2 in
           let dict = Textsim.Gram_dict.of_grams (grams_of a @ grams_of b) in
           Textsim.Profile.intern dict a;
           Textsim.Profile.intern dict b;
           check_bits (tag "cosine interned") oracle_cos (Textsim.Profile.cosine a b);
-          check_bits (tag "jaccard interned") oracle_jac (Textsim.Profile.jaccard a b);
           (* one-sided: only [d] is interned (and complete — the dict is
              its own vocabulary); the dispatch interns [c] on the fly *)
           let c = fresh p1 and d = fresh p2 in
           let dict2 = Textsim.Gram_dict.of_grams (grams_of d) in
           Textsim.Profile.intern dict2 d;
-          check_bits (tag "cosine one-sided") oracle_cos (Textsim.Profile.cosine c d);
-          check_bits (tag "jaccard one-sided") oracle_jac (Textsim.Profile.jaccard c d))
+          check_bits (tag "cosine one-sided") oracle_cos (Textsim.Profile.cosine c d))
         profiles)
     (List.map Textsim.Profile.of_strings corpus)
 
@@ -105,34 +102,40 @@ let test_index_scores () =
   Alcotest.(check int) "disjoint candidate touches nothing" 0 touched;
   Array.iter (fun s -> check_bits "disjoint scores are exact zeros" 0.0 s) scores
 
+let target_name i = ("t", Printf.sprintf "a%d" i)
+
+let kernel_of targets =
+  Matching.Score_kernel.build (Array.mapi (fun i p -> (target_name i, p)) targets)
+
+(* Exhaustive top-k oracle: pairwise string-path cosine against every
+   target, then filter by [tau], sort (score desc, slot asc), take [k]. *)
+let exhaustive_top_k targets cand ~k ~tau =
+  Array.to_list targets
+  |> List.mapi (fun i t -> (i, Textsim.Profile.cosine (fresh cand) (fresh t)))
+  |> List.filter (fun (_, s) -> s >= tau)
+  |> List.sort (fun (i, a) (j, b) ->
+         let c = Float.compare b a in
+         if c <> 0 then c else Int.compare i j)
+  |> List.filteri (fun i _ -> i < k)
+  |> List.map (fun (i, s) -> (target_name i, s))
+
 let test_top_k_equals_exhaustive () =
-  let _, index, candidates = index_fixture () in
+  let targets, _, candidates = index_fixture () in
+  let kern = kernel_of targets in
   List.iteri
     (fun ci cand ->
-      let scores, _ = Textsim.Gram_index.scores index cand in
       List.iter
         (fun (k, tau) ->
-          let oracle =
-            Array.to_list (Array.mapi (fun i s -> (i, s)) scores)
-            |> List.filter (fun (_, s) -> s >= tau)
-            |> List.sort (fun (i, a) (j, b) ->
-                   let c = Float.compare b a in
-                   if c <> 0 then c else Int.compare i j)
-            |> List.filteri (fun i _ -> i < k)
-          in
-          let got, stats = Textsim.Gram_index.top_k index cand ~k ~tau in
+          let oracle = exhaustive_top_k targets cand ~k ~tau in
+          let got = Matching.Score_kernel.top_k kern cand ~k ~tau in
           Alcotest.(check int)
             (Printf.sprintf "cand %d k=%d tau=%.2f: size" ci k tau)
             (List.length oracle) (List.length got);
           List.iter2
-            (fun (i, s) (i', s') ->
-              Alcotest.(check int) "slot" i i';
+            (fun (n, s) (n', s') ->
+              Alcotest.(check (pair string string)) "target" n n';
               check_bits "score" s s')
-            oracle got;
-          Alcotest.(check bool) "stats account for every target"
-            true
-            (stats.Textsim.Gram_index.scored + stats.Textsim.Gram_index.pruned
-            = Textsim.Gram_index.length index))
+            oracle got)
         [ (1, 0.0); (3, 0.0); (100, 0.0); (3, 0.2); (3, 0.99); (0, 0.0) ])
     candidates
 
@@ -321,69 +324,10 @@ let test_model_top_k () =
         [ (1, 0.0); (3, 0.0); (50, 0.0); (3, 0.3); (3, 0.95) ])
     (Schema.attribute_names (Table.schema src_tbl))
 
-(* --- sharded TAAT ------------------------------------------------------ *)
+(* --- patched index ------------------------------------------------------- *)
 
-(* Enough synthetic target columns that sharding splits the slot space
-   into several block-aligned ranges.  Sequential and pool-sharded
-   accumulation must agree bit for bit: each shard is a contiguous whole
-   number of blocks filled independently and the merge is concatenation,
-   so there is no accumulation-order drift for the comparison to
-   forgive. *)
-let synthetic_kernel n =
-  let profile i =
-    Textsim.Profile.of_strings
-      [
-        Printf.sprintf "target %d of the synthetic corpus" i;
-        Printf.sprintf "column %d %s" (i mod 17) (String.make ((i mod 5) + 1) 'x');
-      ]
-  in
-  Matching.Score_kernel.build
-    (Array.init n (fun i -> (("t", Printf.sprintf "a%d" i), profile i)))
-
-let test_sharded_bit_identity () =
-  let kern = synthetic_kernel 600 in
-  let fp_scores a =
-    String.concat ";" (Array.to_list (Array.map (Printf.sprintf "%h") a))
-  in
-  let fp_topk l =
-    String.concat ";" (List.map (fun ((t, a), s) -> Printf.sprintf "%s.%s=%h" t a s) l)
-  in
-  let candidates =
-    List.map Textsim.Profile.of_strings
-      [
-        [ "target 42 of the synthetic corpus" ];
-        [ "column 3 xxxx"; "column 11 x" ];
-        [ "no overlap whatsoever ZZZZ" ];
-        [];
-      ]
-  in
-  List.iter
-    (fun jobs ->
-      let pool = Runtime.Pool.get ~jobs in
-      List.iteri
-        (fun ci cand ->
-          Alcotest.(check string)
-            (Printf.sprintf "cand %d jobs=%d: sharded scores = sequential" ci jobs)
-            (fp_scores (Matching.Score_kernel.scores kern cand))
-            (fp_scores (Matching.Score_kernel.scores ~pool ~shard_min:1 kern cand));
-          List.iter
-            (fun (k, tau) ->
-              Alcotest.(check string)
-                (Printf.sprintf "cand %d jobs=%d k=%d tau=%.2f: sharded top-k = sequential" ci
-                   jobs k tau)
-                (fp_topk (Matching.Score_kernel.top_k kern cand ~k ~tau))
-                (fp_topk (Matching.Score_kernel.top_k ~pool ~shard_min:1 kern cand ~k ~tau)))
-            [ (1, 0.0); (10, 0.0); (650, 0.0); (10, 0.05); (10, 0.9) ])
-        candidates)
-    [ 2; 4 ]
-
-(* --- block-max boundaries ---------------------------------------------- *)
-
-(* 13 targets: a ragged final block at every block size that does not
-   divide 13, single-posting blocks at block size 1, and postings that
-   straddle block edges at 2 and 7.  The block size must never change a
-   returned score — only which blocks the pruning pass may skip. *)
-let block_targets =
+(* 13 targets sharing a common phrase and a repeated "dup" run. *)
+let patch_targets =
   Array.init 13 (fun i ->
       Textsim.Profile.of_strings
         [
@@ -391,163 +335,99 @@ let block_targets =
           String.concat " " (List.init ((i mod 4) + 1) (fun _ -> "dup dup dup"));
         ])
 
-let block_candidates =
+let patch_candidates =
   List.map Textsim.Profile.of_strings
     [ [ "row 7 common payload" ]; [ "dup dup" ]; [ "unrelated" ] ]
 
-let test_block_sizes_identical () =
-  let reference = Textsim.Gram_index.build block_targets in
-  List.iter
-    (fun bs ->
-      let index = Textsim.Gram_index.build ~block_size:bs block_targets in
-      Alcotest.(check int)
-        (Printf.sprintf "bs=%d block count" bs)
-        ((13 + bs - 1) / bs)
-        (Textsim.Gram_index.block_count index);
-      List.iteri
-        (fun ci cand ->
-          let oracle, _ = Textsim.Gram_index.scores reference cand in
-          let got, _ = Textsim.Gram_index.scores index cand in
-          Array.iteri
-            (fun i o -> check_bits (Printf.sprintf "bs=%d cand %d slot %d" bs ci i) o got.(i))
-            oracle;
-          (* at every tau, a pruned slice agrees with exhaustive scoring
-             on every slot at or above the threshold — on either side,
-             so a bound that wrongly skipped a survivor fails loudly *)
-          List.iter
-            (fun tau ->
-              let sliced, stats =
-                Textsim.Gram_index.scores_range index cand ~tau ~lo:0 ~hi:13
-              in
-              Alcotest.(check int) "slice covers the range" 13 (Array.length sliced);
-              Alcotest.(check int) "every block accounted for"
-                (Textsim.Gram_index.block_count index)
-                stats.Textsim.Gram_index.r_blocks;
-              Array.iteri
-                (fun i s ->
-                  if s >= tau || oracle.(i) >= tau then
-                    check_bits
-                      (Printf.sprintf "bs=%d cand %d tau=%.2f slot %d" bs ci tau i)
-                      oracle.(i) s)
-                sliced)
-            [ 0.0; 0.05; 0.3; 0.99 ];
-          (* a proper sub-range starting on an interior block boundary *)
-          if bs < 13 then
-            let sliced, _ = Textsim.Gram_index.scores_range index cand ~tau:0.0 ~lo:bs ~hi:13 in
-            Array.iteri
-              (fun i s ->
-                check_bits (Printf.sprintf "bs=%d cand %d offset slot %d" bs ci i) oracle.(bs + i) s)
-              sliced)
-        block_candidates)
-    [ 1; 2; 5; 7; 64 ]
-
 (* Patching a slot down to the empty profile empties every posting row
    of its private grams; those rows must stay score-neutral and the
-   patched index bit-identical to a cold build over the mutated targets
-   — at every block size, since the patch path recomputes the segment
-   maxima and per-block norms from scratch. *)
+   patched index bit-identical to a cold build over the mutated
+   targets. *)
 let test_patch_emptied_slots () =
-  List.iter
-    (fun bs ->
-      let index = Textsim.Gram_index.build ~block_size:bs block_targets in
-      let empty = Textsim.Profile.of_strings [] in
-      let replacement = Textsim.Profile.of_strings [ "row 3 common payload" ] in
-      let patches = [ (4, empty); (9, replacement) ] in
-      match Textsim.Gram_index.patch index patches with
-      | None -> Alcotest.fail (Printf.sprintf "bs=%d: patch unexpectedly fell back" bs)
-      | Some patched ->
-        let mutated = Array.copy block_targets in
-        mutated.(4) <- empty;
-        mutated.(9) <- replacement;
-        let cold = Textsim.Gram_index.build ~block_size:bs mutated in
-        List.iteri
-          (fun ci cand ->
-            check_bits
-              (Printf.sprintf "bs=%d cand %d upper bound" bs ci)
-              (Textsim.Gram_index.cosine_upper_bound cold cand)
-              (Textsim.Gram_index.cosine_upper_bound patched cand);
-            let want, _ = Textsim.Gram_index.scores cold cand in
-            let got, _ = Textsim.Gram_index.scores patched cand in
-            Array.iteri
-              (fun i w ->
-                check_bits (Printf.sprintf "bs=%d cand %d slot %d" bs ci i) w got.(i))
-              want;
-            List.iter
+  let index = Textsim.Gram_index.build patch_targets in
+  let empty = Textsim.Profile.of_strings [] in
+  let replacement = Textsim.Profile.of_strings [ "row 3 common payload" ] in
+  match Textsim.Gram_index.patch index [ (4, empty); (9, replacement) ] with
+  | None -> Alcotest.fail "patch unexpectedly fell back"
+  | Some patched ->
+    let mutated = Array.copy patch_targets in
+    mutated.(4) <- empty;
+    mutated.(9) <- replacement;
+    let cold = Textsim.Gram_index.build mutated in
+    List.iteri
+      (fun ci cand ->
+        let want, want_touched = Textsim.Gram_index.scores cold cand in
+        let got, got_touched = Textsim.Gram_index.scores patched cand in
+        Alcotest.(check int) (Printf.sprintf "cand %d touched" ci) want_touched got_touched;
+        Array.iteri
+          (fun i w -> check_bits (Printf.sprintf "cand %d slot %d" ci i) w got.(i))
+          want)
+      patch_candidates
+
+(* --- wide targets -------------------------------------------------------- *)
+
+(* Retail has 6 textual target columns; this target has 320, so batch
+   scoring and the candidate filter's probes dominate the build.  A
+   source with a few textual attributes (and one numeric) must build
+   the same model at every jobs count, kernel on or off, under each
+   filter: the same matches bit for bit, the same pairs accounting and
+   the same q-gram retrieval. *)
+let wide_dbs () =
+  let words = [| "alpha"; "bravo"; "charlie"; "delta"; "echo"; "foxtrot"; "golf"; "hotel" |] in
+  let cell c r =
+    Printf.sprintf "%s %s %d" words.(c mod 8) words.((c / 8 + r) mod 8) (((c * 7) + r) mod 13)
+  in
+  let text_table name cols rows =
+    Table.make
+      (Schema.make name
+         (List.init cols (fun c -> Attribute.string (Printf.sprintf "c%d" c))
+         @ [ Attribute.int "n" ]))
+      (List.init rows (fun r ->
+           Array.append
+             (Array.init cols (fun c -> Value.String (cell (c * 5) r)))
+             [| Value.Int (r mod 4) |]))
+  in
+  ( Database.make "wide_src" [ text_table "src" 3 8 ],
+    Database.make "wide_tgt" [ text_table "tgt" 320 8 ] )
+
+let test_wide_target_identical () =
+  let source, target = wide_dbs () in
+  let src_attrs = [ "c0"; "c1"; "c2" ] in
+  let model ~jobs ~kernel filter =
+    Matching.Standard_match.build ~jobs ~kernel ?filter ~source ~target ()
+  in
+  let fp m =
+    String.concat "\n"
+      (List.map fp_match (Matching.Standard_match.matches m ~tau:0.0)
+      @ [
+          Printf.sprintf "scored=%d pruned=%d" (Matching.Standard_match.pairs_scored m)
+            (Matching.Standard_match.pairs_pruned m);
+        ]
+      @ List.concat_map
+          (fun src_attr ->
+            List.map
               (fun (k, tau) ->
-                let fp (l, _) =
-                  String.concat ";" (List.map (fun (i, s) -> Printf.sprintf "%d=%h" i s) l)
-                in
-                Alcotest.(check string)
-                  (Printf.sprintf "bs=%d cand %d k=%d tau=%.2f top-k" bs ci k tau)
-                  (fp (Textsim.Gram_index.top_k cold cand ~k ~tau))
-                  (fp (Textsim.Gram_index.top_k patched cand ~k ~tau)))
-              [ (3, 0.0); (3, 0.2); (20, 0.0) ])
-          block_candidates)
-    [ 1; 2; 7; 64 ]
-
-(* --- upper-bound soundness under skew ----------------------------------- *)
-
-(* Adversarial frequency skew: one target is a single hugely repeated
-   gram (posting frequency ~1), another has a tiny norm, and the rest sit
-   in between — the regime where a max-frequency x min-norm bound is at
-   its coarsest.  Sound means >= every true cosine; the differential
-   top-k check then confirms coarse never became wrong. *)
-let test_bound_soundness () =
-  let targets =
-    [|
-      Textsim.Profile.of_strings (List.init 40 (fun _ -> "aaaaaaaaaa"));
-      Textsim.Profile.of_strings [ "zzzz" ];
-      Textsim.Profile.of_strings [ "aaaa zzzz mixed" ];
-      Textsim.Profile.of_strings [ "unrelated words here" ];
-      Textsim.Profile.of_strings [ "aaa zzz aaa zzz" ];
-    |]
-  in
-  let candidates =
-    List.map Textsim.Profile.of_strings
-      [
-        [ "aaaa" ];
-        [ "zzzz" ];
-        (List.init 40 (fun _ -> "aaaaaaaaaa"));
-        [ "aaaa zzzz mixed" ];
-        [ "completely disjoint" ];
-      ]
+                Matching.Standard_match.top_qgram_matches m ~src_table:"src" ~src_attr ~k ~tau
+                |> List.map (fun ((t, a), s) -> Printf.sprintf "%s.%s=%h" t a s)
+                |> String.concat ";")
+              [ (3, 0.0); (3, 0.2); (400, 0.0) ])
+          src_attrs)
   in
   List.iter
-    (fun bs ->
-      let index = Textsim.Gram_index.build ~block_size:bs targets in
-      List.iteri
-        (fun ci cand ->
-          let bound = Textsim.Gram_index.cosine_upper_bound index cand in
-          let scores, _ = Textsim.Gram_index.scores index cand in
-          Array.iteri
-            (fun i s ->
-              Alcotest.(check bool)
-                (Printf.sprintf "bs=%d cand %d target %d: bound %.17g >= cosine %.17g" bs ci i
-                   bound s)
-                true (bound >= s))
-            scores;
-          List.iter
-            (fun (k, tau) ->
-              let oracle =
-                Array.to_list (Array.mapi (fun i s -> (i, s)) scores)
-                |> List.filter (fun (_, s) -> s >= tau)
-                |> List.sort (fun (i, a) (j, b) ->
-                       let c = Float.compare b a in
-                       if c <> 0 then c else Int.compare i j)
-                |> List.filteri (fun i _ -> i < k)
-              in
-              let got, _ = Textsim.Gram_index.top_k index cand ~k ~tau in
-              Alcotest.(check int)
-                (Printf.sprintf "bs=%d cand %d k=%d tau=%.2f size" bs ci k tau)
-                (List.length oracle) (List.length got);
-              List.iter2
-                (fun (i, s) (i', s') ->
-                  Alcotest.(check int) "slot" i i';
-                  check_bits "score" s s')
-                oracle got)
-            [ (1, 0.0); (5, 0.3); (5, 0.7); (5, 0.95) ])
-        candidates)
-    [ 1; 2; 64 ]
+    (fun filter ->
+      let what = Matching.Standard_match.filter_to_string filter in
+      let oracle = model ~jobs:1 ~kernel:false filter in
+      if filter <> None then
+        Alcotest.(check bool) (what ^ ": the filter prunes") true
+          (Matching.Standard_match.pairs_pruned oracle > 0);
+      List.iter
+        (fun (jobs, kernel) ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s jobs=%d kernel=%b = sequential legacy" what jobs kernel)
+            (fp oracle)
+            (fp (model ~jobs ~kernel filter)))
+        [ (1, true); (4, true); (4, false) ])
+    [ None; Some { Matching.Standard_match.k = 3; tau = 0.0 }; Some { k = 3; tau = 0.2 } ]
 
 (* --- qcheck properties -------------------------------------------------- *)
 
@@ -560,31 +440,18 @@ let words_gen =
 let qcheck_topk =
   let gen =
     QCheck.Gen.(
-      quad
+      triple
         (list_size (1 -- 30) (small_list words_gen))
         (small_list words_gen)
-        (pair (1 -- 9) (0 -- 40))
-        (0 -- 10))
+        (pair (0 -- 40) (0 -- 10)))
   in
   QCheck.Test.make ~name:"top_k = exhaustive filter/sort/take" ~count:200 (QCheck.make gen)
-    (fun (targets, cand, (bs, kk), tau10) ->
+    (fun (targets, cand, (kk, tau10)) ->
       let tau = float_of_int tau10 /. 10.0 in
-      let index =
-        Textsim.Gram_index.build ~block_size:bs
-          (Array.of_list (List.map Textsim.Profile.of_strings targets))
-      in
+      let targets = Array.of_list (List.map Textsim.Profile.of_strings targets) in
       let cand = Textsim.Profile.of_strings cand in
-      let scores, _ = Textsim.Gram_index.scores index cand in
-      let oracle =
-        Array.to_list (Array.mapi (fun i s -> (i, s)) scores)
-        |> List.filter (fun (_, s) -> s >= tau)
-        |> List.sort (fun (i, a) (j, b) ->
-               let c = Float.compare b a in
-               if c <> 0 then c else Int.compare i j)
-        |> List.filteri (fun i _ -> i < kk)
-      in
-      let got, _ = Textsim.Gram_index.top_k index cand ~k:kk ~tau in
-      oracle = got)
+      let got = Matching.Score_kernel.top_k (kernel_of targets) cand ~k:kk ~tau in
+      exhaustive_top_k targets cand ~k:kk ~tau = got)
 
 (* CSR family composition round-trip: for random partitioned tables and
    random slot subsets, the arena-composed profile must carry the exact
@@ -829,15 +696,14 @@ let () =
           Alcotest.test_case "store interner-independent" `Slow test_store_interner_independent;
         ] );
       ("top-k", [ Alcotest.test_case "model top-k pruned = exhaustive" `Quick test_model_top_k ]);
-      ( "sharded",
-        [ Alcotest.test_case "jobs 1 vs N bit-identity" `Quick test_sharded_bit_identity ] );
-      ( "blocks",
+      ( "wide",
         [
-          Alcotest.test_case "block sizes score identically" `Quick test_block_sizes_identical;
-          Alcotest.test_case "emptied-slot patch = cold rebuild" `Quick test_patch_emptied_slots;
+          Alcotest.test_case "wide target: jobs x kernel x filter identical" `Quick
+            test_wide_target_identical;
         ] );
-      ( "bounds",
-        [ Alcotest.test_case "skewed-frequency bound soundness" `Quick test_bound_soundness ] );
+      ( "blocks",
+        [ Alcotest.test_case "emptied-slot patch = cold rebuild" `Quick test_patch_emptied_slots ]
+      );
       ( "properties",
         [
           QCheck_alcotest.to_alcotest qcheck_topk;

@@ -127,9 +127,8 @@ let test_plan_accounting () =
     (Matching.Standard_match.filter_to_string narrow_filter)
 
 (* The kernel is an acceleration, never a semantics switch: a filtered
-   run scores the same candidates through the kernel's block-max top-k
-   and through the exact pairwise fallback, under a real threshold
-   too. *)
+   run scores the same candidates through the kernel's batch top-k and
+   through the exact pairwise fallback, under a real threshold too. *)
 let test_filtered_kernel_invariance () =
   List.iter
     (fun (k, tau) ->
@@ -171,7 +170,9 @@ let test_topk_exact_tie () =
   let p () = Textsim.Profile.of_strings [ "alpha beta" ] in
   let idx = Textsim.Gram_index.build [| p (); p (); p () |] in
   let cand = p () in
-  let hits, _stats = Textsim.Gram_index.top_k idx cand ~k:2 ~tau:0.0 in
+  let hits =
+    Textsim.Gram_index.select (fst (Textsim.Gram_index.scores idx cand)) ~k:2 ~tau:0.0
+  in
   (match hits with
   | [ (s0, c0); (s1, c1) ] ->
     Alcotest.(check int) "first slot" 0 s0;

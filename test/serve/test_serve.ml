@@ -142,6 +142,20 @@ let test_differential_identity () =
         [ 1; 2; Domain.recommended_domain_count () ])
     [ true; false ]
 
+(* A "jobs" value past the runtime's domain limit fails only its own
+   request: the next multi-domain match is served, and served right. *)
+let test_oversized_jobs () =
+  in_temp_dir @@ fun dir ->
+  with_server dir @@ fun _server address ->
+  with_client address @@ fun client ->
+  ignore (register client ());
+  let want, _ = oracle_strings (oracle ()) in
+  expect_reject ~code:"internal" (do_match client ~jobs:200 ());
+  let reply = do_match client ~jobs:2 () in
+  expect_ok reply;
+  Alcotest.(check (list string)) "jobs 2 after jobs 200 = one-shot" want
+    (string_list reply "matches")
+
 (* A shared prepared target must not leak state between requests with
    different knobs: flip tau up (fewer matches) and back, same client,
    same registration. *)
@@ -690,6 +704,8 @@ let () =
             test_differential_identity;
           Alcotest.test_case "knobs do not stick to the prepared target" `Quick
             test_knobs_do_not_stick;
+          Alcotest.test_case "oversized jobs fails only its request" `Quick
+            test_oversized_jobs;
           Alcotest.test_case "issue payloads identical (faults, lenient ingest)" `Slow
             test_issue_payload_identity;
           Alcotest.test_case "warm store: identical matches, zero rebuilds" `Slow

@@ -15,12 +15,6 @@ let test_accumulation () =
   Alcotest.(check int) "distinct unchanged" 4 (Textsim.Profile.gram_count p);
   Alcotest.(check int) "occurrences doubled" 8 (Textsim.Profile.total p)
 
-let test_weighted_bag_sums_to_one () =
-  let p = Textsim.Profile.of_strings [ "hello"; "world" ] in
-  let bag = Textsim.Profile.to_weighted_bag p in
-  let sum = List.fold_left (fun acc (_, w) -> acc +. w) 0.0 bag in
-  close 1.0 sum
-
 let test_cosine_identical () =
   let a = Textsim.Profile.of_strings [ "hello world" ] in
   let b = Textsim.Profile.of_strings [ "hello world" ] in
@@ -40,14 +34,6 @@ let test_cosine_symmetric () =
   let a = Textsim.Profile.of_strings [ "the shadow of the wind"; "ancient history" ] in
   let b = Textsim.Profile.of_strings [ "dance baby dance"; "midnight groove" ] in
   close (Textsim.Profile.cosine a b) (Textsim.Profile.cosine b a)
-
-let test_jaccard () =
-  let a = Textsim.Profile.of_strings [ "ab" ] in
-  let b = Textsim.Profile.of_strings [ "ab" ] in
-  close 1.0 (Textsim.Profile.jaccard a b);
-  let c = Textsim.Profile.of_strings [] in
-  close 1.0 (Textsim.Profile.jaccard c (Textsim.Profile.of_strings []));
-  close 0.0 (Textsim.Profile.jaccard a c)
 
 let test_distinguishes_vocabularies () =
   (* the property the instance matcher relies on: same-domain text is
@@ -73,12 +59,10 @@ let suite =
   [
     Alcotest.test_case "counts" `Quick test_counts;
     Alcotest.test_case "accumulation" `Quick test_accumulation;
-    Alcotest.test_case "weighted bag sums to 1" `Quick test_weighted_bag_sums_to_one;
     Alcotest.test_case "cosine identical" `Quick test_cosine_identical;
     Alcotest.test_case "cosine disjoint" `Quick test_cosine_disjoint;
     Alcotest.test_case "cosine empty" `Quick test_cosine_empty;
     Alcotest.test_case "cosine symmetric" `Quick test_cosine_symmetric;
-    Alcotest.test_case "jaccard" `Quick test_jaccard;
     Alcotest.test_case "distinguishes vocabularies" `Quick test_distinguishes_vocabularies;
     QCheck_alcotest.to_alcotest qcheck_cosine_range;
   ]

@@ -72,6 +72,17 @@ let test_pool_get_caches_and_resizes () =
   Alcotest.(check (list int)) "resized pool works" [ 1; 2; 3 ]
     (Runtime.Pool.map_list p3 (fun x -> x) [ 1; 2; 3 ])
 
+(* OCaml 5.1 allows at most 128 domains per process.  A pool asking for
+   more must fail without keeping the workers it did spawn, or every
+   later multi-domain pool fails to spawn as well. *)
+let test_pool_oversized_jobs () =
+  (match Runtime.Pool.get ~jobs:200 with
+  | _ -> Alcotest.fail "200 jobs is past the domain limit"
+  | exception Failure _ -> ());
+  let pool = Runtime.Pool.get ~jobs:2 in
+  Alcotest.(check (list int)) "a later pool works" [ 2; 4; 6 ]
+    (Runtime.Pool.map_list pool (fun x -> 2 * x) [ 1; 2; 3 ])
+
 (* --- Memo -------------------------------------------------------------- *)
 
 let test_memo_hit_miss_accounting () =
@@ -212,6 +223,7 @@ let suite =
     Alcotest.test_case "pool deterministic" `Quick test_pool_deterministic_across_runs;
     Alcotest.test_case "pool exception" `Quick test_pool_propagates_exception;
     Alcotest.test_case "pool get/resize" `Quick test_pool_get_caches_and_resizes;
+    Alcotest.test_case "pool survives oversized jobs" `Quick test_pool_oversized_jobs;
     Alcotest.test_case "memo accounting" `Quick test_memo_hit_miss_accounting;
     Alcotest.test_case "memo first insertion wins" `Quick test_memo_returns_first_insertion;
     Alcotest.test_case "memo under concurrency" `Quick test_memo_under_concurrency;
