@@ -70,19 +70,25 @@ end
 let plan ?(declared = []) ~source ~target ~matches () =
   Obs.Trace.with_span "mapping.plan" @@ fun () ->
   let relations = relations_of_matches source matches in
-  let base_relations = List.filter (fun r -> not (Relation.is_view r)) relations in
-  let base_constraints = declared @ Mining.mine base_relations in
+  (* Each relation's keys are mined once; FK mining, the view keys and
+     contextual-FK mining below all read them from here. *)
+  let mined = List.map (fun r -> (r, Mining.mine_keys r)) relations in
+  let base_mined = List.filter (fun (r, _) -> not (Relation.is_view r)) mined in
+  let base_constraints =
+    declared
+    @ List.concat_map (fun (_, keys) -> List.map (fun k -> Constraints.Key k) keys) base_mined
+    @ List.map (fun f -> Constraints.Fk f) (Mining.mine_foreign_keys base_mined)
+  in
   let derived = Propagation.derive ~relations ~base:base_constraints in
   (* Clio also mines keys directly on view samples; record them with a
      "mined" rule tag, skipping duplicates of the inferred ones. *)
   let mined_view_keys =
     List.concat_map
-      (fun rel ->
+      (fun (rel, keys) ->
         if Relation.is_view rel then
-          List.map (fun k -> { Propagation.constr = Constraints.Key k; rule = "mined" })
-            (Mining.mine_keys rel)
+          List.map (fun k -> { Propagation.constr = Constraints.Key k; rule = "mined" }) keys
         else [])
-      relations
+      mined
     |> List.filter (fun d ->
            not
              (List.exists
@@ -90,7 +96,7 @@ let plan ?(declared = []) ~source ~target ~matches () =
                 derived))
   in
   let mined_view_cfks =
-    Mining.mine_contextual_fks relations
+    Mining.mine_contextual_fks mined
     |> List.map (fun c -> { Propagation.constr = Constraints.Cfk c; rule = "mined" })
     |> List.filter (fun d ->
            not

@@ -1,46 +1,50 @@
 open Relational
 
 let mine_keys ?(max_width = 2) rel =
+  if !Obs.Recorder.enabled then Obs.Metrics.incr "mapping.keys_mined";
   let table = Relation.table rel in
-  if Table.row_count table = 0 then []
+  let rows = Table.row_count table in
+  if rows = 0 then []
   else begin
-    let attrs = Relation.attributes rel in
-    let singles =
-      List.filter (fun a -> Table.is_unique table [ a ]) attrs
-    in
-    let keys = List.map (fun a -> { Constraints.rel = Relation.name rel; key_attrs = [ a ] }) singles in
+    let key key_attrs = { Constraints.rel = Relation.name rel; key_attrs } in
+    let coded = List.map (fun a -> (a, Table.column_codes table a)) (Relation.attributes rel) in
+    let singles, non_keys = List.partition (fun (_, c) -> c.Table.card = rows) coded in
+    let keys = List.map (fun (a, _) -> key [ a ]) singles in
     if max_width < 2 then keys
     else begin
       (* Minimal pairs: neither member is already a single-attribute key. *)
-      let non_keys = List.filter (fun a -> not (List.mem a singles)) attrs in
       let rec pairs = function
         | [] -> []
-        | a :: rest ->
+        | (a, ca) :: rest ->
           List.filter_map
-            (fun b -> if Table.is_unique table [ a; b ] then Some [ a; b ] else None)
+            (fun (b, cb) -> if Table.codes_unique ~rows [ ca; cb ] then Some (key [ a; b ]) else None)
             rest
           @ pairs rest
       in
-      keys
-      @ List.map
-          (fun key_attrs -> { Constraints.rel = Relation.name rel; key_attrs })
-          (pairs non_keys)
+      keys @ pairs non_keys
     end
   end
 
-let single_keys rel = mine_keys ~max_width:1 rel
-
-let mine_foreign_keys relations =
+let mine_foreign_keys mined =
   let candidates =
     List.concat_map
-      (fun referenced ->
-        List.map (fun k -> (referenced, k)) (single_keys referenced))
-      relations
+      (fun (referenced, keys) ->
+        List.filter_map
+          (fun (k : Constraints.key) ->
+            match k.key_attrs with [ _ ] -> Some (referenced, k) | _ -> None)
+          keys)
+      mined
   in
   List.concat_map
-    (fun referencing ->
+    (fun (referencing, _) ->
       let table = Relation.table referencing in
-      if Table.row_count table = 0 then []
+      let others =
+        List.filter
+          (fun (referenced, _) ->
+            not (String.equal (Relation.name referenced) (Relation.name referencing)))
+          candidates
+      in
+      if Table.row_count table = 0 || others = [] then []
       else
         List.concat_map
           (fun attr ->
@@ -49,43 +53,33 @@ let mine_foreign_keys relations =
             else
               List.filter_map
                 (fun (referenced, (k : Constraints.key)) ->
-                  if String.equal (Relation.name referenced) (Relation.name referencing) then
-                    None
-                  else begin
-                    let fk =
-                      {
-                        Constraints.fk_rel = Relation.name referencing;
-                        fk_attrs = [ attr ];
-                        ref_rel = k.rel;
-                        ref_attrs = k.key_attrs;
-                      }
-                    in
-                    if Constraints.holds_fk table (Relation.table referenced) fk then Some fk
-                    else None
-                  end)
-                candidates)
+                  let fk =
+                    {
+                      Constraints.fk_rel = Relation.name referencing;
+                      fk_attrs = [ attr ];
+                      ref_rel = k.rel;
+                      ref_attrs = k.key_attrs;
+                    }
+                  in
+                  if Constraints.holds_fk table (Relation.table referenced) fk then Some fk
+                  else None)
+                others)
           (Relation.attributes referencing))
-    relations
+    mined
 
-let view_selection_values rel =
-  match Condition.selected_values (Relation.selection_condition rel) with
-  | Some (attr, values) -> Some (attr, values)
-  | None -> None
-
-let mine_contextual_fks relations =
+let mine_contextual_fks mined =
   let by_name = Hashtbl.create 8 in
-  List.iter (fun r -> Hashtbl.replace by_name (Relation.name r) r) relations;
+  List.iter (fun ((r, _) as entry) -> Hashtbl.replace by_name (Relation.name r) entry) mined;
   List.concat_map
-    (fun view ->
+    (fun (view, _) ->
       if not (Relation.is_view view) then []
       else
-        match view_selection_values view with
+        match Condition.selected_values (Relation.selection_condition view) with
         | None -> []
         | Some (ctx_attr, values) -> (
           match Hashtbl.find_opt by_name (Relation.base_name view) with
           | None -> []
-          | Some base ->
-            let base_keys = mine_keys base in
+          | Some (base, base_keys) ->
             (* keys of the base in which the selection attribute takes
                part: [X, a] with a = ctx_attr *)
             let with_ctx =
@@ -119,9 +113,10 @@ let mine_contextual_fks relations =
                       else None)
                     values)
               with_ctx))
-    relations
+    mined
 
 let mine relations =
-  List.concat_map (fun r -> List.map (fun k -> Constraints.Key k) (mine_keys r)) relations
-  @ List.map (fun f -> Constraints.Fk f) (mine_foreign_keys relations)
-  @ List.map (fun c -> Constraints.Cfk c) (mine_contextual_fks relations)
+  let mined = List.map (fun r -> (r, mine_keys r)) relations in
+  List.concat_map (fun (_, keys) -> List.map (fun k -> Constraints.Key k) keys) mined
+  @ List.map (fun f -> Constraints.Fk f) (mine_foreign_keys mined)
+  @ List.map (fun c -> Constraints.Cfk c) (mine_contextual_fks mined)

@@ -12,7 +12,11 @@ let quote_ident name =
 let literal = function
   | Value.Null -> "NULL"
   | Value.Int i -> string_of_int i
-  | Value.Float f -> Printf.sprintf "%g" f
+  | Value.Float f ->
+    (* shortest of the two precisions that reads back as the same float,
+       so a condition selects in SQL the rows the executor selects *)
+    let short = Printf.sprintf "%.15g" f in
+    if float_of_string short = f then short else Printf.sprintf "%.17g" f
   | Value.Bool b -> if b then "TRUE" else "FALSE"
   | Value.String s ->
     let buf = Buffer.create (String.length s + 2) in
@@ -67,7 +71,9 @@ let component_select (plan : Mapping_gen.plan) mapping (component : Mapping_gen.
         | Some c -> Printf.sprintf "%s AS %s" (qualified c.rel c.rel_attr) (quote_ident attr)
         | None ->
           (* Skolem placeholder: unmapped non-null target attribute *)
-          Printf.sprintf "'sk_%s(...)' AS %s" attr (quote_ident attr))
+          Printf.sprintf "%s AS %s"
+            (literal (Value.String (Printf.sprintf "sk_%s(...)" attr)))
+            (quote_ident attr))
       target_attrs
   in
   match component.Mapping_gen.component_relations with

@@ -13,7 +13,8 @@ val quote_ident : string -> string
 
 val literal : Relational.Value.t -> string
 (** SQL literal for a value; NULL for nulls; strings single-quoted with
-    doubling. *)
+    doubling; floats in the shortest form ([%.15g] or [%.17g]) that
+    reads back as the same float. *)
 
 val condition : Relational.Condition.t -> string
 (** SQL boolean expression. *)
@@ -25,7 +26,8 @@ val view_definition : Relation.t -> string option
 val component_select : Mapping_gen.plan -> Mapping_gen.target_mapping ->
   Mapping_gen.component -> string
 (** The SELECT implementing one logical-table component of a target
-    mapping. *)
+    mapping.  A target attribute no correspondence feeds selects the
+    string literal ['sk_<attr>(...)'] as its Skolem placeholder. *)
 
 val target_insert : Mapping_gen.plan -> Mapping_gen.target_mapping -> string
 (** INSERT INTO target ... with the UNION ALL of the component

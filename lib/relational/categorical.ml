@@ -15,20 +15,39 @@ let default_params =
     max_cardinality = 12;
   }
 
+exception Too_many_values
+
 let is_categorical ?(params = default_params) table attr =
-  let counts = Table.value_counts table attr in
-  let n = Table.row_count table in
-  let distinct = List.length counts in
-  if n = 0 || distinct < 2 || distinct > params.max_cardinality then false
-  else begin
-    let heavy_threshold =
-      max params.min_rows_per_value
-        (int_of_float (Float.ceil (params.heavy_value_share *. float_of_int n)))
-    in
-    let heavy = List.length (List.filter (fun (_, c) -> c >= heavy_threshold) counts) in
-    heavy >= params.min_heavy_values
-    && float_of_int heavy /. float_of_int distinct > params.heavy_fraction
-  end
+  let i = Schema.index_of (Table.schema table) attr in
+  (* Value-keyed counts, as in Table.value_counts; past max_cardinality
+     distinct values the verdict is already false, so counting stops. *)
+  let counts = Hashtbl.create 16 in
+  match
+    Array.iter
+      (fun row ->
+        let v = row.(i) in
+        if not (Value.is_null v) then
+          match Hashtbl.find_opt counts v with
+          | Some c -> Hashtbl.replace counts v (c + 1)
+          | None ->
+            if Hashtbl.length counts >= params.max_cardinality then raise Too_many_values;
+            Hashtbl.add counts v 1)
+      (Table.rows table)
+  with
+  | exception Too_many_values -> false
+  | () ->
+    let n = Table.row_count table in
+    let distinct = Hashtbl.length counts in
+    if n = 0 || distinct < 2 then false
+    else begin
+      let heavy_threshold =
+        max params.min_rows_per_value
+          (int_of_float (Float.ceil (params.heavy_value_share *. float_of_int n)))
+      in
+      let heavy = Hashtbl.fold (fun _ c acc -> if c >= heavy_threshold then acc + 1 else acc) counts 0 in
+      heavy >= params.min_heavy_values
+      && float_of_int heavy /. float_of_int distinct > params.heavy_fraction
+    end
 
 let categorical_attributes ?(params = default_params) table =
   Table.schema table |> Schema.attribute_names

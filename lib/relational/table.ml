@@ -71,18 +71,67 @@ let concat_rows a b =
     invalid_arg "Table.concat_rows: schemas differ";
   { a with rows = Array.append a.rows b.rows }
 
-let is_unique t attrs =
-  let indices = List.map (Schema.index_of t.schema) attrs in
-  let seen = Hashtbl.create (Array.length t.rows) in
-  let duplicate = ref false in
-  Array.iter
-    (fun row ->
-      if not !duplicate then begin
-        let key = List.map (fun i -> Value.to_string row.(i)) indices in
-        if Hashtbl.mem seen key then duplicate := true else Hashtbl.add seen key ()
-      end)
-    t.rows;
-  not !duplicate
+type codes = { codes : int array; card : int }
+
+let column_codes t attr =
+  let i = Schema.index_of t.schema attr in
+  let ids = Hashtbl.create (Array.length t.rows) in
+  let codes =
+    Array.map
+      (fun row ->
+        let key = Value.to_string row.(i) in
+        match Hashtbl.find_opt ids key with
+        | Some c -> c
+        | None ->
+          let c = Hashtbl.length ids in
+          Hashtbl.add ids key c;
+          c)
+      t.rows
+  in
+  { codes; card = Hashtbl.length ids }
+
+(* Dense codes of the rows' (group, code) pairs: rows are counting-sorted
+   by group, then the codes met within each group are numbered, so no
+   key is hashed and no product of cardinalities is formed. *)
+let refine groups col =
+  let n = Array.length groups.codes in
+  let start = Array.make (groups.card + 1) 0 in
+  Array.iter (fun g -> start.(g + 1) <- start.(g + 1) + 1) groups.codes;
+  for g = 1 to groups.card do
+    start.(g) <- start.(g) + start.(g - 1)
+  done;
+  let fill = Array.sub start 0 groups.card and order = Array.make n 0 in
+  Array.iteri
+    (fun i g ->
+      order.(fill.(g)) <- i;
+      fill.(g) <- fill.(g) + 1)
+    groups.codes;
+  let owner = Array.make col.card (-1) and id = Array.make col.card 0 in
+  let codes = Array.make n 0 and card = ref 0 in
+  for g = 0 to groups.card - 1 do
+    for j = start.(g) to start.(g + 1) - 1 do
+      let row = order.(j) in
+      let c = col.codes.(row) in
+      if owner.(c) <> g then begin
+        owner.(c) <- g;
+        id.(c) <- !card;
+        incr card
+      end;
+      codes.(row) <- id.(c)
+    done
+  done;
+  { codes; card = !card }
+
+let codes_unique ~rows = function
+  | [] -> rows <= 1
+  | first :: rest ->
+    (* fewer value combinations than rows: some two rows must agree *)
+    let combinations =
+      List.fold_left (fun acc c -> if acc >= rows then acc else acc * c.card) first.card rest
+    in
+    combinations >= rows && (List.fold_left refine first rest).card = rows
+
+let is_unique t attrs = codes_unique ~rows:(row_count t) (List.map (column_codes t) attrs)
 
 let pp fmt t =
   Format.fprintf fmt "%a [%d rows]" Schema.pp t.schema (row_count t);

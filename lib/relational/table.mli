@@ -57,9 +57,22 @@ val sub_by_indices : t -> int array -> t
 val concat_rows : t -> t -> t
 (** Union of rows; schemas must be equal. *)
 
+type codes = private { codes : int array; card : int }
+(** A column coded densely: row [i] has code [codes.(i)] in
+    [\[0, card)], and two rows share a code iff their cells print alike
+    under {!Value.to_string}. *)
+
+val column_codes : t -> string -> codes
+
+val codes_unique : rows:int -> codes list -> bool
+(** True when no two of the [rows] rows share a code in every listed
+    column (columns of the same instance).  Never true when the
+    columns' cardinalities multiply to fewer than [rows]. *)
+
 val is_unique : t -> string list -> bool
-(** True when the listed attributes form a key of the instance (no two
-    rows agree on all of them; nulls compare as values). *)
+(** True when the listed attributes form a key of the instance: no two
+    rows print alike on all of them ({!Value.to_string}; nulls compare
+    as values).  {!codes_unique} over {!column_codes}. *)
 
 val pp : Format.formatter -> t -> unit
 (** Compact textual rendering (header + first rows), for debugging. *)

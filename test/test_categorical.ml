@@ -70,6 +70,52 @@ let test_categorical_attributes_order () =
   Alcotest.(check (list string)) "schema order" [ "kind"; "status" ]
     (Categorical.categorical_attributes t)
 
+(* Random params and a column whose distinct count sits at, just
+   under or just over the params' max_cardinality (or anywhere), with
+   nulls, repeats, and Int 1 next to Float 1. (distinct values). *)
+let params_and_column_gen =
+  let open QCheck.Gen in
+  let params_gen =
+    map
+      (fun ((share, fraction), (min_heavy, min_rows), max_cardinality) ->
+        {
+          Categorical.heavy_value_share = share;
+          heavy_fraction = fraction;
+          min_heavy_values = min_heavy;
+          min_rows_per_value = min_rows;
+          max_cardinality;
+        })
+      (triple
+         (pair (float_range 0. 0.3) (float_range 0. 0.5))
+         (pair (int_range 0 3) (int_range 0 3))
+         (int_range 0 14))
+  in
+  frequency [ (1, return Categorical.default_params); (3, params_gen) ] >>= fun params ->
+  let m = params.Categorical.max_cardinality in
+  oneofl [ m - 1; m; m + 1; m + 1; 0; 1 ] >>= fun distinct ->
+  let distinct = max 0 distinct in
+  let value i =
+    match i with 0 -> Value.Int 1 | 1 -> Value.Float 1. | i -> Value.String (Printf.sprintf "v%d" i)
+  in
+  list_repeat distinct (int_range 1 6) >>= fun repeats ->
+  int_range 0 4 >>= fun nulls ->
+  let cells =
+    List.concat (List.mapi (fun i r -> List.init r (fun _ -> value i)) repeats)
+    @ List.init nulls (fun _ -> Value.Null)
+  in
+  shuffle_l cells >|= fun cells -> (params, cells)
+
+let qcheck_matches_oracle =
+  QCheck.Test.make ~name:"is_categorical = value_counts oracle" ~count:1000
+    (QCheck.make
+       ~print:(fun (p, cells) ->
+         Printf.sprintf "max_cardinality %d: [%s]" p.Categorical.max_cardinality
+           (String.concat "; " (List.map Value.to_string cells)))
+       params_and_column_gen)
+    (fun (params, cells) ->
+      let t = table_of_column "k" cells in
+      Categorical.is_categorical ~params t "k" = Oracle.Categorical.is_categorical ~params t "k")
+
 let suite =
   [
     Alcotest.test_case "low cardinality" `Quick test_low_cardinality_is_categorical;
@@ -82,4 +128,5 @@ let suite =
     Alcotest.test_case "max cardinality guard" `Quick test_max_cardinality_guard;
     Alcotest.test_case "nulls ignored" `Quick test_nulls_ignored;
     Alcotest.test_case "attributes in schema order" `Quick test_categorical_attributes_order;
+    QCheck_alcotest.to_alcotest qcheck_matches_oracle;
   ]

@@ -29,6 +29,7 @@ let () =
       ("ctxmatch.conjunctive", Test_conjunctive.suite);
       ("mapping", Test_mapping.suite);
       ("mapping.gen", Test_mapping_gen.suite);
+      ("mapping.mining-oracle", Test_mining_oracle.suite);
       ("workload", Test_workload.suite);
       ("eval", Test_eval.suite);
       ("integration", Test_integration.suite);

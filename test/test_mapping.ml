@@ -126,8 +126,15 @@ let test_mine_keys () =
   Alcotest.(check bool) "(name, assign)" true
     (List.exists (fun (k : Constraints.key) -> k.Constraints.key_attrs = [ "name"; "assign" ]) pkeys)
 
+(* relations paired with their mined keys, as Mapping_gen.plan hands
+   them to FK and contextual-FK mining *)
+let with_keys rels = List.map (fun r -> (r, Mining.mine_keys r)) rels
+
 let test_mine_foreign_keys () =
-  let fks = Mining.mine_foreign_keys [ Relation.base project_table; Relation.base student_table ] in
+  let fks =
+    Mining.mine_foreign_keys
+      (with_keys [ Relation.base project_table; Relation.base student_table ])
+  in
   Alcotest.(check bool) "project.name subset student.name" true
     (List.exists
        (fun (f : Constraints.foreign_key) ->
@@ -137,7 +144,7 @@ let test_mine_foreign_keys () =
 
 let test_mine_contextual_fks () =
   let rels = [ Relation.base project_table; v_assign 1 ] in
-  let cfks = Mining.mine_contextual_fks rels in
+  let cfks = Mining.mine_contextual_fks (with_keys rels) in
   Alcotest.(check bool) "V1[name, assign=1] into project" true
     (List.exists
        (fun (c : Constraints.contextual_fk) ->

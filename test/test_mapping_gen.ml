@@ -144,6 +144,34 @@ let test_declared_constraints_respected () =
          && d.constr = Mapping.Constraints.key "s where l = x" [ "k" ])
        plan.Mapping.Mapping_gen.derived)
 
+let test_keys_mined_once_per_relation () =
+  let params = { Workload.Retail.default_params with rows = 200; target_rows = 100 } in
+  let source = Workload.Retail.source params in
+  let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
+  let infer = Ctxmatch.Context_match.infer_of `Src_class ~target in
+  let r = Ctxmatch.Context_match.run ~config:Ctxmatch.Config.default ~infer ~source ~target () in
+  let plan () =
+    Mapping.Mapping_gen.plan ~source ~target ~matches:r.Ctxmatch.Context_match.matches ()
+  in
+  let keys_mined () =
+    Obs.Metrics.counter_value (Obs.Metrics.snapshot ()) "mapping.keys_mined"
+  in
+  Obs.Recorder.disable ();
+  Obs.Metrics.reset ();
+  ignore (plan ());
+  Alcotest.(check int) "nothing recorded with the recorder off" 0 (keys_mined ());
+  Obs.Recorder.enable ();
+  let p = Fun.protect ~finally:Obs.Recorder.disable plan in
+  let views = List.filter Mapping.Relation.is_view p.Mapping.Mapping_gen.relations in
+  Alcotest.(check bool) "some contextual views" true (views <> []);
+  Alcotest.(check int) "k views + 1 base, each mined once"
+    (List.length views + 1)
+    (keys_mined ());
+  Alcotest.(check int) "= relation count" (List.length p.Mapping.Mapping_gen.relations)
+    (keys_mined ());
+  Obs.Recorder.reset ();
+  Obs.Metrics.reset ()
+
 let suite =
   [
     Alcotest.test_case "plan relations" `Slow test_plan_relations;
@@ -153,4 +181,5 @@ let suite =
     Alcotest.test_case "skolem fills unmapped attrs" `Quick test_skolem_fills_unmapped_string_attrs;
     Alcotest.test_case "empty matches, empty outputs" `Quick test_empty_matches_empty_outputs;
     Alcotest.test_case "declared constraints respected" `Quick test_declared_constraints_respected;
+    Alcotest.test_case "keys mined once per relation" `Slow test_keys_mined_once_per_relation;
   ]

@@ -17,6 +17,21 @@ let test_literal () =
   Alcotest.(check string) "string escaped" "'o''brien'"
     (Mapping.Sql_render.literal (Value.String "o'brien"))
 
+let test_float_literal_round_trips () =
+  (* a condition on a float must select in SQL the rows the executor
+     selects, so the literal reads back as the same float *)
+  Alcotest.(check string) "seven digits kept" "0.1234567"
+    (Mapping.Sql_render.literal (Value.Float 0.1234567));
+  Alcotest.(check string) "integral float" "10" (Mapping.Sql_render.literal (Value.Float 10.0));
+  Alcotest.(check string) "view condition" "\"p\" = 10.123456789"
+    (Mapping.Sql_render.condition (Condition.Eq ("p", Value.Float 10.123456789)));
+  List.iter
+    (fun f ->
+      let lit = Mapping.Sql_render.literal (Value.Float f) in
+      Alcotest.(check bool) (Printf.sprintf "%s reads back as %h" lit f) true
+        (Float.equal (float_of_string lit) f))
+    [ 0.1; 1. /. 3.; 1.0000001; 1.0000002; 1e-7; 123456789.123; -2.5e300; 5e-324 ]
+
 let test_condition_sql () =
   Alcotest.(check string) "eq" "\"type\" = 'a'"
     (Mapping.Sql_render.condition (Condition.Eq ("type", Value.String "a")));
@@ -61,6 +76,34 @@ let test_script_structure () =
     && contains sql "INSERT INTO \"grades_wide\"");
   Alcotest.(check bool) "mentions full outer join" true
     (contains sql "FULL OUTER JOIN")
+
+let test_skolem_placeholder_quoted () =
+  (* an unmatched target header is outside input: its quote must not end
+     the Skolem placeholder's string literal *)
+  let src =
+    Table.make (Schema.make "s" [ Attribute.string "k" ]) [ [| Value.String "a" |] ]
+  in
+  let tgt =
+    Table.make (Schema.make "t" [ Attribute.string "k"; Attribute.string "o'neil" ]) []
+  in
+  let matches =
+    [
+      Matching.Schema_match.contextual ~view_name:"s where k = a" ~src_base:"s" ~src_attr:"k"
+        ~tgt_table:"t" ~tgt_attr:"k"
+        ~condition:(Condition.Eq ("k", Value.String "a"))
+        0.9;
+    ]
+  in
+  let plan =
+    Mapping.Mapping_gen.plan
+      ~source:(Database.make "sdb" [ src ])
+      ~target:(Database.make "tdb" [ tgt ])
+      ~matches ()
+  in
+  let sql = Mapping.Sql_render.script plan in
+  Alcotest.(check bool) "placeholder quote doubled" true
+    (contains sql "'sk_o''neil(...)' AS \"o'neil\"");
+  Alcotest.(check bool) "no unbalanced literal" false (contains sql "'sk_o'neil")
 
 let test_parse_eq () =
   Alcotest.(check bool) "string value" true
@@ -151,6 +194,8 @@ let suite =
     Alcotest.test_case "quote ident" `Quick test_quote_ident;
     Alcotest.test_case "literal" `Quick test_literal;
     Alcotest.test_case "condition sql" `Quick test_condition_sql;
+    Alcotest.test_case "float literal round-trips" `Quick test_float_literal_round_trips;
+    Alcotest.test_case "skolem placeholder quoted" `Quick test_skolem_placeholder_quoted;
     Alcotest.test_case "view definition" `Quick test_view_definition;
     Alcotest.test_case "script structure" `Slow test_script_structure;
     Alcotest.test_case "parse eq" `Quick test_parse_eq;
