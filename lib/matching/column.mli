@@ -8,9 +8,22 @@ open Relational
 
 type t
 
+type composed = {
+  grams : (Profile_cache.family * Profile_cache.view_counts) Lazy.t;
+      (** the view's summed gram counts over its profile family *)
+  word_ids : (Profile_cache.set_family * int array) Lazy.t;
+      (** the view's word set over its word-set family *)
+  value_ids : (Profile_cache.set_family * int array) Lazy.t;
+      (** the view's distinct set over its distinct-set family *)
+}
+(** The id-space artefacts of a view column over partition groups (see
+    {!view_columns}), each derived from its family on first use.  Not
+    safe to force from two domains at once: a view column belongs to
+    the task scoring its view. *)
+
 val make :
   ?cache:Profile_cache.t * Profile_cache.key ->
-  ?view:View.t ->
+  ?composed:composed ->
   owner:string ->
   Attribute.t ->
   Value.t array ->
@@ -23,21 +36,28 @@ val of_table : ?cache:Profile_cache.t -> Table.t -> string -> t
 (** With [cache], the lazy artefacts are looked up under
     [(base table, attr, digest of the view's row indices)] before being
     computed, so views selecting the same rows share one computation.
+
     When the cache has {!Profile_cache.partitioning} on and the view's
-    condition selects values of one other attribute, the profile,
-    distinct set and word set are {e composed} from that attribute's
-    families ({!Profile_cache.family}, {!Profile_cache.set_family}:
-    shared across all views over it) instead of re-scanning the view's
-    rows; composition is exact — integer counts add and id-order set
-    unions are sorted string unions — so every downstream score is
-    bit-identical to the re-scan path. *)
+    condition selects values of one other attribute, the column is
+    {e composed} instead: it carries {!composed} artefacts — unions of
+    that attribute's family rows ({!Profile_cache.family},
+    {!Profile_cache.set_family}, shared across all views over it) — and
+    no cache key, so none of its artefacts is looked up, kept in the
+    cache or stored, and the view's row indices are never hashed for
+    it.  Its {!profile}, {!summary} and sets, when a matcher asks, are
+    computed from its values. *)
 val of_view : ?cache:Profile_cache.t -> View.t -> string -> t
 
 val view_columns : ?cache:Profile_cache.t -> View.t -> string -> t
 (** [view_columns ?cache view] is {!of_view} for many attributes of one
-    view: the returned function builds each attribute's column once
-    and hashes the view's row indices once (only when [cache] needs a
-    key), instead of once per attribute. *)
+    view: the returned function builds each attribute's column once,
+    hashes the view's row indices at most once and looks its partition
+    groups up at most once.  Each column built counts once on
+    [match.view_columns.composed] or [match.view_columns.scanned]. *)
+
+val composed : t -> composed option
+(** The id-space artefacts of a composed view column; [None] for every
+    other column. *)
 
 val owner : t -> string
 val attribute : t -> Attribute.t
@@ -77,23 +97,22 @@ val words_attr : string -> string
     seeds word sets under exactly this key. *)
 
 val warm_families : ?pool:Runtime.Pool.t -> Profile_cache.t -> Table.t -> unit
-(** Build-time warm of the partition-composition artefacts: for every
-    categorical condition attribute of the table (default
+(** Build-time warm of the partition families: for every categorical
+    condition attribute of the table (default
     {!Relational.Categorical} parameters — the predicate view inference
     enumerates families over), force the columnar family pack and the
-    per-group distinct/word sets of every other textual attribute, and
-    the per-group distinct sets of every int attribute (whose view
-    distincts compose too), through the shared cache.  View scoring
-    then composes from warm artefacts instead of first-touch tokenising
-    per group inside the scoring phase.  Purely a warming pass — every
-    artefact goes through the exact keys the lazy paths use, so
-    skipping it (or inferring with non-default categorical parameters)
-    only moves the identical computation later.  Each pair warms
-    best-effort: a failure (e.g. an injected fault) is swallowed and
-    re-raises on the owning unit's own lookup instead.  With [pool],
-    the (condition, attribute) pairs warm pool-parallel; must then be
-    called from the pool's own domain ({!Runtime.Pool} is not
-    re-entrant). *)
+    distinct/word set families of every other textual attribute, and
+    the distinct set family of every int attribute, through the shared
+    cache.  View scoring then composes from warm families instead of
+    first-touch tokenising per group inside the scoring phase.  Purely
+    a warming pass — every artefact goes through the exact keys the
+    lazy paths use, so skipping it (or inferring with non-default
+    categorical parameters) only moves the identical computation later.
+    Each pair warms best-effort: a failure (e.g. an injected fault) is
+    swallowed and re-raises on the owning unit's own lookup instead.
+    With [pool], the (condition, attribute) pairs warm pool-parallel;
+    must then be called from the pool's own domain ({!Runtime.Pool} is
+    not re-entrant). *)
 
 val warm : t -> unit
 (** Force the artefacts a matcher of this column's type could ask for

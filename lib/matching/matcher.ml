@@ -1,6 +1,6 @@
 open Relational
 
-type kernel_hint = No_kernel | Qgram_cosine
+type kernel_hint = No_kernel | Schema_only | Qgram_cosine | Word_jaccard | Value_jaccard
 
 type t = {
   name : string;
@@ -20,6 +20,6 @@ let applicable_pair t src tgt = t.applicable (Column.attribute src) (Column.attr
    poison the z-normalisation distribution and every confidence
    derived from it.  A NaN raw score carries no signal: map it to the
    scale's floor. *)
-let score t src tgt =
-  let s = t.score src tgt in
-  if Float.is_nan s then 0.0 else Float.min 1.0 (Float.max 0.0 s)
+let clamp s = if Float.is_nan s then 0.0 else Float.min 1.0 (Float.max 0.0 s)
+
+let score t src tgt = clamp (t.score src tgt)

@@ -7,11 +7,31 @@ open Relational
 
 type kernel_hint =
   | No_kernel  (** always scored through [score] *)
+  | Schema_only
+      (** [score] reads only the two columns' attributes (name and
+          type), never their values, so a view column — which carries
+          its base column's attribute — scores exactly what its base
+          column scored; view scoring reads the base model's raw score
+          instead of calling [score] again *)
   | Qgram_cosine
       (** [score] equals q-gram profile cosine of the pair, so a model
           holding a {!Score_kernel} may batch-score the matcher against
           all its indexed targets at once (bit-identical by the kernel's
-          contract); [score] remains the semantics of record *)
+          contract), and a view over partition groups may be scored from
+          the groups' summed gram counts *)
+  | Word_jaccard
+      (** [score] equals {!Textsim.Simmetrics.jaccard} of the two
+          columns' {!Column.words}: a view over partition groups may be
+          scored from the union of the groups' word ids *)
+  | Value_jaccard
+      (** [score] equals {!Textsim.Simmetrics.jaccard} of the two
+          columns' {!Column.distinct_strings}: a view over partition
+          groups may be scored from the union of the groups' value ids *)
+(** What [score] computes, when it is one of the computations the
+    scoring paths know a shortcut for.  Every shortcut produces the
+    float [score] would (see DESIGN.md, "Scoring kernel"); [score]
+    remains the semantics of record, and a matcher without a hint
+    (user-defined ones by default) always runs through it. *)
 
 type t = {
   name : string;
@@ -33,6 +53,10 @@ val make :
 
 val applicable_pair : t -> Column.t -> Column.t -> bool
 val score : t -> Column.t -> Column.t -> float
-(** Score clamped to [0, 1]; a NaN raw score maps to 0 (it carries no
-    signal, and [Float.min]/[Float.max] would propagate it into the
-    normalisation distribution otherwise). *)
+(** [clamp] of the matcher's raw score. *)
+
+val clamp : float -> float
+(** Clamp to [0, 1]; NaN maps to 0 (it carries no signal, and
+    [Float.min]/[Float.max] would propagate it into the normalisation
+    distribution otherwise).  Every shortcut of a {!kernel_hint}
+    applies it to the value it computes, as [score] does. *)

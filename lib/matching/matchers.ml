@@ -9,16 +9,16 @@ let both_numeric (a : Attribute.t) (b : Attribute.t) =
 let always (_ : Attribute.t) (_ : Attribute.t) = true
 
 let name_matcher =
-  Matcher.make ~name:"name" ~weight:0.75 ~applicable:always (fun src tgt ->
-      Textsim.Simmetrics.name_similarity (Column.name src) (Column.name tgt))
+  Matcher.make ~name:"name" ~weight:0.75 ~kernel:Matcher.Schema_only ~applicable:always
+    (fun src tgt -> Textsim.Simmetrics.name_similarity (Column.name src) (Column.name tgt))
 
 let qgram_matcher =
   Matcher.make ~name:"qgram" ~weight:1.5 ~kernel:Matcher.Qgram_cosine ~applicable:both_textual
     (fun src tgt -> Textsim.Profile.cosine (Column.profile src) (Column.profile tgt))
 
 let word_matcher =
-  Matcher.make ~name:"word" ~weight:1.0 ~applicable:both_textual (fun src tgt ->
-      Textsim.Simmetrics.jaccard (Column.words src) (Column.words tgt))
+  Matcher.make ~name:"word" ~weight:1.0 ~kernel:Matcher.Word_jaccard ~applicable:both_textual
+    (fun src tgt -> Textsim.Simmetrics.jaccard (Column.words src) (Column.words tgt))
 
 (* Bhattacharyya coefficient of the two fitted normals: 1 when the
    distributions coincide, decaying with both mean separation and
@@ -69,11 +69,13 @@ let value_overlap_matcher =
   let applicable (a : Attribute.t) (b : Attribute.t) =
     both_textual a b || (a.ty = Value.Tint && b.ty = Value.Tint)
   in
-  Matcher.make ~name:"value-overlap" ~weight:1.0 ~applicable (fun src tgt ->
+  Matcher.make ~name:"value-overlap" ~weight:1.0 ~kernel:Matcher.Value_jaccard ~applicable
+    (fun src tgt ->
       Textsim.Simmetrics.jaccard (Column.distinct_strings src) (Column.distinct_strings tgt))
 
 let type_matcher =
-  Matcher.make ~name:"type" ~weight:0.25 ~applicable:always (fun src tgt ->
+  Matcher.make ~name:"type" ~weight:0.25 ~kernel:Matcher.Schema_only ~applicable:always
+    (fun src tgt ->
       let ta = (Column.attribute src).Attribute.ty and tb = (Column.attribute tgt).Attribute.ty in
       if ta = tb then 1.0
       else begin
@@ -99,8 +101,10 @@ let instance_only_suite =
   [ qgram_matcher; word_matcher; numeric_matcher; range_matcher; value_overlap_matcher; type_matcher ]
 
 (* Matchers a candidate filter may restrict to the q-gram survivors
-   of a textual source attribute.  Any other matcher, user-defined ones
-   included, scores every pair: the conservative choice for result
-   preservation. *)
+   of a textual source attribute: the instance-overlap computations.
+   Any other matcher, user-defined ones without a hint included, scores
+   every pair: the conservative choice for result preservation. *)
 let filterable (m : Matcher.t) =
-  match m.Matcher.name with "qgram" | "word" | "value-overlap" -> true | _ -> false
+  match m.Matcher.kernel with
+  | Matcher.Qgram_cosine | Matcher.Word_jaccard | Matcher.Value_jaccard -> true
+  | Matcher.No_kernel | Matcher.Schema_only -> false

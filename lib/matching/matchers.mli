@@ -44,6 +44,7 @@ val instance_only_suite : Matcher.t list
 
 val filterable : Matcher.t -> bool
 (** Whether a candidate filter ({!Standard_match.filter}) may restrict
-    this matcher's textual pairs to the filter's survivors: true for
-    [qgram], [word] and [value-overlap], false for every other
-    (including user-defined) matcher. *)
+    this matcher's textual pairs to the filter's survivors: true for the
+    [Qgram_cosine], [Word_jaccard] and [Value_jaccard] hints ([qgram],
+    [word] and [value-overlap] in this suite), false for every other
+    matcher, a user-defined one without a hint included. *)

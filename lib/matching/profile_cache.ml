@@ -6,18 +6,29 @@ type partition = {
   part_digests : string array;
 }
 
+(* Per-model translations of target columns into one family's
+   dictionary, keyed by (target table, target attribute).  Each is
+   built under the lock, at most once, by whichever view first scores
+   against that target; the build only reads the already-warmed target
+   column, so it does no memo lookup and cannot wait on the pool. *)
+type 'a translations = { xlock : Mutex.t; xtbl : (string * string, 'a) Hashtbl.t }
+
+type target_counts = { tc_counts : int array; tc_total : int; tc_norm : float }
+type target_set = { ts_marks : Bytes.t; ts_size : int }
+
 type family = {
   fam_dict : Textsim.Gram_dict.t;
   fam_rows : Textsim.Csr.ints;
-  fam_profiles : Textsim.Profile.t array;
-  fam_q : int;
+  fam_targets : target_counts translations;
 }
 
 type set_family = {
   set_dict : Textsim.Gram_dict.t;
   set_rows : int array array;
-  set_groups : string list array;
+  set_targets : target_set translations;
 }
+
+type view_counts = { vc_ids : int array; vc_counts : int array; vc_total : int; vc_norm : float }
 
 type t = {
   profiles : (key, Textsim.Profile.t) Runtime.Memo.t;
@@ -207,24 +218,34 @@ let partition_slot p v =
 
 let partition_indices p v = Option.map (fun i -> p.part_indices.(i)) (partition_slot p v)
 
+let translations () = { xlock = Mutex.create (); xtbl = Hashtbl.create 8 }
+
+let translated x key build =
+  Mutex.protect x.xlock (fun () ->
+      match Hashtbl.find_opt x.xtbl key with
+      | Some v -> v
+      | None ->
+        let v = build () in
+        Hashtbl.add x.xtbl key v;
+        v)
+
 (* One columnar "family pack" per (table, condition attribute, scored
    attribute): the per-group profiles of the partition — computed (or
    store-loaded) through {!profile} under the per-group keys
    [(table, attr, group digest)], so the store sees the same artefacts
    a row re-scan of each group would register — interned against one
    family dictionary (the union of the groups' grams) and packed into a
-   flat CSR arena, one id-sorted row per group.  Composing a view
-   profile over k of the family's values is then integer count addition
-   in id (= gram) order over arena rows straight into a packed
-   {!Textsim.Profile.of_ids} — no hashtable, no string.  The pack is a
-   pure function of the per-group profiles, so it is derived, never
-   persisted. *)
+   flat CSR arena, one id-sorted row per group.  A view over k of the
+   family's values is then integer count addition in id (= gram) order
+   over arena rows ({!compose_counts}) — no hashtable, no string.  The
+   pack is a pure function of the per-group profiles, so it is derived,
+   never persisted. *)
 let family t ~table ~cond_attr ~attr ~profile_of =
   let tname = Relational.Table.name table in
   Runtime.Memo.find_or_add t.families (tname, cond_attr, attr) (fun () ->
       let part = partition t ~table ~cond_attr in
       let groups = part.part_indices in
-      let fam_profiles =
+      let profiles =
         Array.mapi
           (fun g indices ->
             profile t (tname, attr, part.part_digests.(g)) (fun () -> profile_of indices))
@@ -234,16 +255,15 @@ let family t ~table ~cond_attr ~attr ~profile_of =
         Array.fold_left
           (fun acc p ->
             Array.fold_left (fun acc (g, _) -> g :: acc) acc (Textsim.Profile.counts p))
-          [] fam_profiles
+          [] profiles
       in
       let fam_dict = Textsim.Gram_dict.of_grams grams in
-      (* Rows come from a pure string lookup, NOT from [Profile.intern]:
-         the group profiles are shared memo entries that other domains
-         are free to score (and hence re-intern against the kernel
-         dictionary) at any moment, so attaching-then-reading a family
-         view here would race.  Every gram is in [fam_dict] by
-         construction, and the gram-sorted counts map to ascending ids
-         (the dictionary preserves gram order). *)
+      (* Rows come from a pure string lookup, never from
+         [Profile.intern]: the group profiles are shared memo entries
+         that other domains may intern against the kernel dictionary at
+         any moment.  Every gram is in [fam_dict] by construction, and
+         the gram-sorted counts map to ascending ids (the dictionary
+         preserves gram order). *)
       let rows =
         Array.map
           (fun p ->
@@ -260,39 +280,36 @@ let family t ~table ~cond_attr ~attr ~profile_of =
                 | None -> assert false)
               cs;
             (ids, counts))
-          fam_profiles
-      in
-      let fam_q =
-        if Array.length fam_profiles > 0 then Textsim.Profile.q fam_profiles.(0) else 3
+          profiles
       in
       if !Obs.Recorder.enabled then begin
         Obs.Metrics.incr "cache.family.builds";
         Obs.Metrics.add "cache.family.groups" (Array.length groups)
       end;
-      { fam_dict; fam_rows = Textsim.Csr.pack_ints rows; fam_profiles; fam_q })
+      { fam_dict; fam_rows = Textsim.Csr.pack_ints rows; fam_targets = translations () })
 
 (* The set counterpart of a family pack, per (table, condition
    attribute, set key): the per-group sorted string sets — fetched
    through {!distinct} under the same per-group keys — interned against
    one sorted dictionary of their union.  Dictionary ids follow
-   [String.compare] order, so a union of id rows read back in id order
-   is the sorted-unique string union. *)
+   [String.compare] order, so a union of id rows is a sorted-unique
+   string union in id form. *)
 let set_family t ~table ~cond_attr ~attr ~set_of =
   let tname = Relational.Table.name table in
   Runtime.Memo.find_or_add t.set_families (tname, cond_attr, attr) (fun () ->
       let part = partition t ~table ~cond_attr in
-      let set_groups =
+      let groups =
         Array.mapi
           (fun g indices ->
             distinct t (tname, attr, part.part_digests.(g)) (fun () -> set_of indices))
           part.part_indices
       in
-      let set_dict, set_rows = Textsim.Gram_dict.of_docs set_groups in
+      let set_dict, set_rows = Textsim.Gram_dict.of_docs groups in
       (* a sorted set maps to ascending ids already; sorting also covers
          a foreign (store-loaded) set that is not *)
       Array.iter (Array.sort Int.compare) set_rows;
       if !Obs.Recorder.enabled then Obs.Metrics.incr "cache.set_family.builds";
-      { set_dict; set_rows; set_groups })
+      { set_dict; set_rows; set_targets = translations () })
 
 (* One accumulator per domain, shared by every composition that domain
    runs: it grows to the largest family vocabulary seen and holds only
@@ -316,15 +333,13 @@ let with_scratch n f =
     slot := acc;
     raise e
 
-(* Merge-sum the family rows of the given group slots into one packed
-   profile: integer counts accumulate per gram id in the domain's
-   scratch vector, read in place from the arena, then the non-zero ids
-   come back out in ascending (= gram-lexicographic) order.  The count
-   bag is exactly the bag {!Textsim.Profile.sum} of the group profiles
-   builds, and every similarity fold runs over the same gram-sorted
-   counts, so scores from the composed profile are bit-identical to a
-   row re-scan's. *)
-let compose_profile fam slots =
+(* Merge-sum the family rows of the given group slots: integer counts
+   accumulate per gram id in the domain's scratch vector, read in place
+   from the arena, then the non-zero ids come back out in ascending
+   (= gram-lexicographic) order.  The count bag is exactly the bag a row
+   re-scan of the groups' rows builds, and the norm folds those counts
+   in that order, as {!Textsim.Profile.norm} does. *)
+let compose_counts fam slots =
   let rows = fam.fam_rows in
   let offsets = rows.Textsim.Csr.i_offsets in
   let row_ids = rows.Textsim.Csr.i_ids and row_vals = rows.Textsim.Csr.i_vals in
@@ -360,15 +375,25 @@ let compose_profile fam slots =
         done;
         (ids, counts))
   in
-  Textsim.Profile.of_ids ~q:fam.fam_q fam.fam_dict ids counts
+  let vc_total = Array.fold_left ( + ) 0 counts in
+  let total = float_of_int vc_total in
+  let vc_norm =
+    sqrt
+      (Array.fold_left
+         (fun acc c ->
+           let f = float_of_int c /. total in
+           acc +. (f *. f))
+         0.0 counts)
+  in
+  { vc_ids = ids; vc_counts = counts; vc_total; vc_norm }
 
 (* Union the id rows of the given group slots in the scratch vector and
    read the marked ids back in id (= [String.compare]) order: the
-   sorted-unique union of the groups' sets, with no string compared. *)
-let compose_set fam slots =
+   sorted-unique union of the groups' sets, in id form. *)
+let compose_ids fam slots =
   let n = Textsim.Gram_dict.size fam.set_dict in
   with_scratch n (fun acc ->
-      let lo = ref n and hi = ref (-1) in
+      let lo = ref n and hi = ref (-1) and marked = ref 0 in
       List.iter
         (fun slot ->
           let ids = fam.set_rows.(slot) in
@@ -376,17 +401,90 @@ let compose_set fam slots =
           if len > 0 then begin
             lo := min !lo ids.(0);
             hi := max !hi ids.(len - 1);
-            Array.iter (fun id -> acc.(id) <- 1) ids
+            Array.iter
+              (fun id ->
+                if acc.(id) = 0 then begin
+                  acc.(id) <- 1;
+                  incr marked
+                end)
+              ids
           end)
         slots;
-      let out = ref [] in
-      for id = !hi downto !lo do
+      let out = Array.make !marked 0 in
+      let k = ref 0 in
+      for id = !lo to !hi do
         if acc.(id) <> 0 then begin
           acc.(id) <- 0;
-          out := Textsim.Gram_dict.gram fam.set_dict id :: !out
+          out.(!k) <- id;
+          incr k
         end
       done;
-      !out)
+      out)
+
+(* A target column's counts laid over the family's ids: zero for a
+   family gram the target lacks.  Total and norm stay the target's own
+   (grams outside the family count there), as [Profile.cosine] reads
+   them. *)
+let target_counts fam key profile =
+  translated fam.fam_targets key (fun () ->
+      let p = profile () in
+      let tc_counts = Array.make (Textsim.Gram_dict.size fam.fam_dict) 0 in
+      Array.iter
+        (fun (g, c) ->
+          match Textsim.Gram_dict.find fam.fam_dict g with
+          | Some id -> tc_counts.(id) <- c
+          | None -> ())
+        (Textsim.Profile.counts p);
+      { tc_counts; tc_total = Textsim.Profile.total p; tc_norm = Textsim.Profile.norm p })
+
+(* A target column's set marked over the family's ids, with the size of
+   the whole set (members outside the family included).  Column sets
+   are strictly ascending already; a foreign (store-loaded) one that is
+   not is made so, as [Simmetrics.jaccard] would. *)
+let target_set fam key set =
+  translated fam.set_targets key (fun () ->
+      let s = set () in
+      let s =
+        if Textsim.Simmetrics.strictly_sorted s then s else List.sort_uniq String.compare s
+      in
+      let ts_marks = Bytes.make (Textsim.Gram_dict.size fam.set_dict) '\000' in
+      List.iter
+        (fun v ->
+          match Textsim.Gram_dict.find fam.set_dict v with
+          | Some id -> Bytes.set ts_marks id '\001'
+          | None -> ())
+        s;
+      { ts_marks; ts_size = List.length s })
+
+(* [Profile.cosine]'s computation, term for term: the shared grams are
+   the view's ids the target also counts, visited in id = gram order,
+   each adding [(ca / ta) * (cb / tb)]; then the same zero guards and
+   the same quotient. *)
+let cosine v t =
+  if v.vc_total = 0 || t.tc_total = 0 then 0.0
+  else begin
+    let ta = float_of_int v.vc_total and tb = float_of_int t.tc_total in
+    let dot = ref 0.0 in
+    Array.iteri
+      (fun k id ->
+        let cb = t.tc_counts.(id) in
+        if cb <> 0 then
+          dot := !dot +. (float_of_int v.vc_counts.(k) /. ta *. (float_of_int cb /. tb)))
+      v.vc_ids;
+    if v.vc_norm = 0.0 || t.tc_norm = 0.0 then 0.0 else !dot /. (v.vc_norm *. t.tc_norm)
+  end
+
+(* [Simmetrics.jaccard]'s integers: intersection and the two set sizes,
+   1.0 for two empty sets. *)
+let jaccard ids t =
+  let size = Array.length ids in
+  if size = 0 && t.ts_size = 0 then 1.0
+  else begin
+    let inter =
+      Array.fold_left (fun n id -> if Bytes.get t.ts_marks id <> '\000' then n + 1 else n) 0 ids
+    in
+    float_of_int inter /. float_of_int (size + t.ts_size - inter)
+  end
 
 let hits t =
   Runtime.Memo.hits t.profiles + Runtime.Memo.hits t.summaries + Runtime.Memo.hits t.distincts

@@ -3,26 +3,26 @@
     [(base table, attribute, row-subset digest)].
 
     A {!Column.t} caches its artefacts for its own lifetime; this cache
-    extends the reuse across columns — in particular across candidate
-    views whose conditions select the same row subset of the same base
-    table, which recur when several families cover an attribute (and,
-    under correlated attributes, across families).  Entries are keyed by
-    a digest of the exact row-index array, so equal subsets hit and any
-    differing subset misses; a hit returns an artefact computed from the
-    very same value sequence, keeping cached scores bit-identical to
-    freshly computed ones.
+    extends the reuse across columns — base columns, the groups of a
+    {!partition}, and candidate views scored by row re-scan whose
+    conditions select the same row subset.  Entries are keyed by a
+    digest of the exact row-index array, so equal subsets hit and any
+    differing subset misses; a hit returns an artefact computed from
+    the very same value sequence, keeping cached scores bit-identical
+    to freshly computed ones.
 
     Candidate views conditioned on one categorical attribute select
-    unions of that attribute's {!partition} groups.  Their artefacts are
-    composed from per-group ones, which are held twice: as cache entries
-    under the group's key (its digest taken once, when the partition is
-    built), and as a derived, in-memory {e family} that interns every
-    group against one sorted dictionary — a CSR {!family} pack for
-    profiles, a {!set_family} for distinct and word sets.  A view's
-    artefact is then a union of the family's integer rows, accumulated
-    in one per-domain scratch vector ({!compose_profile},
-    {!compose_set}); no per-group lookup, digest or string comparison
-    is repeated per view.
+    unions of that attribute's {!partition} groups, and are scored in
+    the id space of a {e family}: the groups' artefacts — cache entries
+    under the group's key, its digest taken once when the partition is
+    built — interned against one sorted dictionary, a CSR {!family}
+    pack for gram counts and a {!set_family} for distinct and word
+    sets.  A view is a union of the family's integer rows, accumulated
+    in one per-domain scratch vector ({!compose_counts},
+    {!compose_ids}), and each target column is translated into the
+    family's dictionary once ({!target_counts}, {!target_set}).  A
+    view's own artefacts are derived this way on every scoring, never
+    cached or stored.
 
     Backed by {!Runtime.Memo}: safe to share across the worker domains
     of a parallel run.
@@ -30,9 +30,10 @@
     Optionally backed a second level down by a persistent {!Store}
     (see {!attach_store}): an in-memory miss then consults the store
     before computing, and a computed artefact is written through, so a
-    later process run on the same inputs starts warm.  Families are
-    never persisted; the store only ever sees the per-group and per-view
-    artefacts under their [(table, attribute, digest)] keys. *)
+    later process run on the same inputs starts warm.  Families and
+    translations are never persisted; the store only ever sees
+    base-column, per-group and re-scanned view artefacts under their
+    [(table, attribute, digest)] keys. *)
 
 type key = string * string * string
 (** [(base table name, attribute name, row-subset digest)]. *)
@@ -48,14 +49,24 @@ type partition = {
 (** Partition of a base table's rows by one condition attribute's values
     (see {!partition}). *)
 
+type 'a translations
+(** Per-model, lock-protected translations of target columns into one
+    family's dictionary, built at most once per target column. *)
+
+type target_counts
+(** One target column's gram counts over a {!family}'s ids (see
+    {!target_counts}). *)
+
+type target_set
+(** One target column's set over a {!set_family}'s ids (see
+    {!target_set}). *)
+
 type family = {
   fam_dict : Textsim.Gram_dict.t;
       (** frozen over the union of the groups' grams *)
   fam_rows : Textsim.Csr.ints;
       (** one id-sorted (id, count) arena row per partition group *)
-  fam_profiles : Textsim.Profile.t array;
-      (** the shared per-group memo profiles (never mutated by the pack) *)
-  fam_q : int;
+  fam_targets : target_counts translations;
 }
 (** Columnar pack of one partition's per-group profiles (see
     {!family}). *)
@@ -65,10 +76,19 @@ type set_family = {
       (** frozen over the union of the groups' sets; ids follow
           [String.compare] order *)
   set_rows : int array array;  (** per partition group: its set's ids, ascending *)
-  set_groups : string list array;  (** the shared per-group memo sets *)
+  set_targets : target_set translations;
 }
 (** One partition's per-group distinct (or word) sets interned against
     one sorted dictionary (see {!set_family}). *)
+
+type view_counts = {
+  vc_ids : int array;  (** family gram ids, ascending *)
+  vc_counts : int array;  (** their summed counts, all positive *)
+  vc_total : int;  (** sum of [vc_counts] *)
+  vc_norm : float;  (** L2 norm of the relative-frequency vector *)
+}
+(** The gram counts of a union of partition groups (see
+    {!compose_counts}). *)
 
 type t = {
   profiles : (key, Textsim.Profile.t) Runtime.Memo.t;
@@ -83,8 +103,8 @@ type t = {
           attribute name for distinct sets, its {!Column.words_attr}
           marker for word sets *)
   mutable partitioning : bool;
-      (** when set, {!Column} composes categorical-view artefacts from
-          per-partition artefacts instead of re-scanning rows *)
+      (** when set, views over partition groups are scored in their
+          family's id space instead of by row re-scan *)
   mutable store : Store.t option;  (** second-level persistent backing *)
   digests : (string, string) Hashtbl.t;  (** table name -> {!Store.table_digest} *)
   digests_lock : Mutex.t;
@@ -143,8 +163,8 @@ val subset_digest : int array -> string
 val key : table:string -> attr:string -> indices:int array -> key
 
 val set_partitioning : t -> bool -> unit
-(** Enable composing categorical-view artefacts from per-partition
-    artefacts (off by default; {!Standard_match.build} switches it on
+(** Enable scoring views over partition groups in their family's id
+    space (off by default; {!Standard_match.build} switches it on
     together with the scoring kernel). *)
 
 val partitioning : t -> bool
@@ -198,20 +218,42 @@ val set_family :
     their union.  Memoised per (table, cond_attr, attr); derived, never
     persisted. *)
 
-val compose_profile : family -> int list -> Textsim.Profile.t
-(** Merge-sum the rows of the given group slots into one packed
-    profile, reading the arena in place and accumulating in the
-    calling domain's scratch vector (which grows to the largest family
-    vocabulary and is all-zero again on return, exception or not).  The
-    count bag equals [Textsim.Profile.sum] of the slots' group profiles
-    and every similarity fold runs over the same gram-sorted count
-    sequence, so scores are bit-identical to a row re-scan's. *)
+val compose_counts : family -> int list -> view_counts
+(** Merge-sum the rows of the given group slots, reading the arena in
+    place and accumulating in the calling domain's scratch vector
+    (which grows to the largest family vocabulary and is all-zero again
+    on return, exception or not).  The ids map to the grams of the
+    count bag a row re-scan of the groups' rows builds, in gram order,
+    and the norm is {!Textsim.Profile.norm}'s fold over those counts. *)
 
-val compose_set : set_family -> int list -> string list
-(** Sorted-unique union of the given group slots' sets: the slots' id
-    rows marked in the same per-domain scratch vector and read back in
-    id order, which is [String.compare] order — the list
-    [List.sort_uniq String.compare] of their concatenation returns. *)
+val compose_ids : set_family -> int list -> int array
+(** Ids of the union of the given group slots' sets, ascending: the
+    slots' id rows marked in the same per-domain scratch vector and
+    read back in id order, which is [String.compare] order — the ids
+    of the list [List.sort_uniq String.compare] returns on the
+    concatenated sets. *)
+
+val target_counts :
+  family -> string * string -> (unit -> Textsim.Profile.t) -> target_counts
+(** [target_counts fam (table, attr) profile]: the target column's
+    gram counts over [fam]'s ids, with the profile's own total and
+    norm.  Built from [profile ()] on the first call per (table, attr)
+    for this family, under the family's lock; later calls return it.
+    [profile] must not do a memo lookup (pass a warmed column's). *)
+
+val target_set : set_family -> string * string -> (unit -> string list) -> target_set
+(** The set counterpart of {!target_counts}: the target column's
+    distinct members marked over [fam]'s ids, with their number. *)
+
+val cosine : view_counts -> target_counts -> float
+(** {!Textsim.Profile.cosine} of the composed view and the target,
+    bit for bit: the same shared-gram terms added in the same (gram)
+    order, the same zero guards and quotient.  Unclamped. *)
+
+val jaccard : int array -> target_set -> float
+(** {!Textsim.Simmetrics.jaccard} of the composed view set
+    ({!compose_ids}) and the target set: the same intersection and
+    union sizes, 1.0 when both are empty. *)
 
 val hits : t -> int
 val misses : t -> int

@@ -372,8 +372,8 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
   let target_cols = prepared.pt_cols in
   let target_index = prepared.pt_index in
   let tgt_cache = prepared.pt_cache in
-  (* Partition composition of view profiles rides the kernel switch —
-     the bench's kernel-off mode measures the legacy path.  A kernel
+  (* Id-space scoring of views over partition groups rides the kernel
+     switch — the bench's kernel-off mode measures the legacy path.  A kernel
      disabled for this build also ignores a prepared index: pruning and
      batching decide cost only, never a score, so results stay
      bit-identical either way. *)
@@ -391,11 +391,10 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
   let pool = Runtime.Pool.get ~jobs in
   (* Freeze the source-side partition families at build time, like
      [prepare_target] freezes target artefacts: view scoring later
-     composes categorical-view profiles/distincts/words from these warm
-     per-group artefacts instead of first-touch tokenising inside the
-     scoring phase.  Warming rides the kernel switch with partition
-     composition itself; it never changes a value, only when it is
-     computed. *)
+     composes views over partition groups from these warm families
+     instead of first-touch tokenising inside the scoring phase.
+     Warming rides the kernel switch with id-space scoring itself; it
+     never changes a value, only when it is computed. *)
   if kernel then
     Obs.Trace.with_span "warm_families" (fun () ->
         List.iter (Column.warm_families ~pool cache) (Database.tables source));
@@ -466,9 +465,8 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
                      && Relational.Attribute.is_textual (Column.attribute tgt.column) -> (
                 match Hashtbl.find_opt cands (tgt.table, tgt_attr) with
                 | Some s when matcher.Matcher.kernel = Matcher.Qgram_cosine ->
-                  (* exact cosine from the filter probe; same clamp
-                     [Matcher.score] applies *)
-                  record tgt.table tgt_attr (Float.min 1.0 (Float.max 0.0 s))
+                  (* exact cosine from the filter probe *)
+                  record tgt.table tgt_attr (Matcher.clamp s)
                 | Some _ -> record tgt.table tgt_attr (Matcher.score matcher src_col tgt.column)
                 | None ->
                   incr pruned;
@@ -477,9 +475,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
                 match batch with
                 | Some (k, arr) -> (
                   match Score_kernel.slot k ~table:tgt.table ~attr:tgt_attr with
-                  | Some slot ->
-                    (* same clamp [Matcher.score] applies *)
-                    record tgt.table tgt_attr (Float.min 1.0 (Float.max 0.0 arr.(slot)))
+                  | Some slot -> record tgt.table tgt_attr (Matcher.clamp arr.(slot))
                   | None -> scores := 0.0 :: !scores)
                 | None ->
                   if Matcher.applicable_pair matcher src_col tgt.column then
@@ -618,11 +614,46 @@ let matches m ~tau =
   |> List.concat_map (fun src_table -> matches_from m ~src_table ~tau)
   |> List.sort (fun (a : Schema_match.t) b -> Float.compare b.confidence a.confidence)
 
-(* The matcher confidences of one view column against one target
-   attribute: for every matcher with normalisation stats for the source
-   attribute and applicable to the pair, its weight and (gated)
-   confidence, in suite order — the list [Normalize.combine] folds. *)
-let view_confidences m ~src_table ~src_attr src_col ~tgt_table ~tgt_attr =
+(* The raw score of one matcher for a view column against a target.  A
+   composed view column is scored in its family's id space wherever the
+   matcher's hint names the computation: the schema-only matchers reuse
+   the base column's raw score (a view column carries its base
+   column's attribute), and the overlap matchers run on the view's
+   family ids against the target translated into the family — each the
+   float [Matcher.score] would return on the row-scanned view column.
+   Every other case is [Matcher.score]. *)
+let view_score m ~src_table ~src_attr col tgt (matcher : Matcher.t) =
+  let tgt_key = (tgt.table, Column.name tgt.column) in
+  let generic () = Matcher.score matcher col tgt.column in
+  match (Column.composed col, matcher.kernel) with
+  | None, _ | Some _, Matcher.No_kernel -> generic ()
+  | Some _, Matcher.Schema_only -> (
+    match
+      Hashtbl.find_opt m.raw (src_table, src_attr, fst tgt_key, snd tgt_key, matcher.name)
+    with
+    | Some s -> s
+    | None -> generic ())
+  | Some c, Matcher.Qgram_cosine ->
+    let fam, counts = Lazy.force c.Column.grams in
+    Matcher.clamp
+      (Profile_cache.cosine counts
+         (Profile_cache.target_counts fam tgt_key (fun () -> Column.profile tgt.column)))
+  | Some c, Matcher.Word_jaccard ->
+    let fam, ids = Lazy.force c.Column.word_ids in
+    Matcher.clamp
+      (Profile_cache.jaccard ids
+         (Profile_cache.target_set fam tgt_key (fun () -> Column.words tgt.column)))
+  | Some c, Matcher.Value_jaccard ->
+    let fam, ids = Lazy.force c.Column.value_ids in
+    Matcher.clamp
+      (Profile_cache.jaccard ids
+         (Profile_cache.target_set fam tgt_key (fun () -> Column.distinct_strings tgt.column)))
+
+(* The raw scores of one view column against one target attribute: for
+   every matcher with normalisation stats for the source attribute and
+   applicable to the pair, the matcher, its stats and its raw score, in
+   suite order. *)
+let view_raw m ~src_table ~src_attr src_col ~tgt_table ~tgt_attr =
   match Hashtbl.find_opt m.target_index (tgt_table, tgt_attr) with
   | None -> []
   | Some tgt ->
@@ -630,18 +661,33 @@ let view_confidences m ~src_table ~src_attr src_col ~tgt_table ~tgt_attr =
       (fun (matcher : Matcher.t) ->
         match Hashtbl.find_opt m.stats (src_table, src_attr, matcher.name) with
         | Some st when Matcher.applicable_pair matcher src_col tgt.column ->
-          let s = Matcher.score matcher src_col tgt.column in
-          Some
-            ( matcher.weight,
-              (if m.gated then Normalize.gated_confidence else Normalize.confidence) st s )
+          Some (matcher, st, view_score m ~src_table ~src_attr src_col tgt matcher)
         | Some _ | None -> None)
       m.matchers
+
+(* Each raw score's weight and (gated) confidence: the list
+   [Normalize.combine] folds. *)
+let view_confidences m ~src_table ~src_attr src_col ~tgt_table ~tgt_attr =
+  List.map
+    (fun ((matcher : Matcher.t), st, s) ->
+      ( matcher.weight,
+        (if m.gated then Normalize.gated_confidence else Normalize.confidence) st s ))
+    (view_raw m ~src_table ~src_attr src_col ~tgt_table ~tgt_attr)
 
 let score_view m view ~src_attr ~tgt_table ~tgt_attr =
   if View.row_count view = 0 then 0.0
   else
     Normalize.combine
       (view_confidences m ~src_table:(Table.name (View.base view)) ~src_attr
+         (Column.of_view ~cache:m.cache view src_attr)
+         ~tgt_table ~tgt_attr)
+
+let view_scores m view ~src_attr ~tgt_table ~tgt_attr =
+  if View.row_count view = 0 then []
+  else
+    List.map
+      (fun ((matcher : Matcher.t), _, s) -> (matcher.name, s))
+      (view_raw m ~src_table:(Table.name (View.base view)) ~src_attr
          (Column.of_view ~cache:m.cache view src_attr)
          ~tgt_table ~tgt_attr)
 
@@ -662,8 +708,9 @@ let view_matches m view ~base_matches =
   @@ fun () ->
   let base_name = Table.name (View.base view) in
   (* One Column per source attribute of the view across matchers: the
-     Column caches its profile/summary internally, and the model's
-     profile cache shares them with any other view on the same rows. *)
+     Column holds its artefacts, composed from its partition family or
+     shared through the model's profile cache with any other view on
+     the same rows. *)
   let view_column = Column.view_columns ~cache:m.cache view in
   let score_one (bm : Schema_match.t) =
     if View.row_count view = 0 then None

@@ -135,13 +135,14 @@ val build :
 
     [kernel] (default true) freezes a {!Score_kernel} over the textual
     target columns after the warm-up — the q-gram matcher is then
-    batch-scored through its inverted index during the fan-out and view
-    profiles are composed from per-partition profiles
-    ({!Profile_cache.set_partitioning}) instead of re-scanning rows.
-    Every score either way is bit-identical: the kernel accumulates the
-    same dot terms in the same order as the string merge join, and
-    partition counts add exactly.  [kernel:false] selects the legacy
-    string path (the kernel bench's baseline).
+    batch-scored through its inverted index during the fan-out — and
+    scores views over partition groups in their family's id space
+    ({!Profile_cache.set_partitioning}, {!view_matches}) instead of
+    re-scanning rows.  Every score either way is bit-identical: the
+    kernel accumulates the same dot terms in the same order as the
+    string merge join, and partition counts and sets add exactly.
+    [kernel:false] selects the legacy string path (the kernel bench's
+    baseline).
 
     With [prepared], the target-side work (warming, kernel freeze,
     store registration of target tables) is skipped entirely and the
@@ -216,8 +217,26 @@ val score_view :
 (** Confidence of (view.src_attr -> tgt) under the view's restriction.
     Returns 0.0 for an empty view (no evidence). *)
 
+val view_scores :
+  model -> View.t -> src_attr:string -> tgt_table:string -> tgt_attr:string ->
+  (string * float) list
+(** The raw scores {!score_view} combines, by matcher name, in suite
+    order: one per matcher with normalisation stats for the source
+    attribute and applicable to the pair, computed as {!view_matches}
+    computes them.  [[]] for an empty view. *)
+
 val view_matches :
   model -> View.t -> base_matches:Schema_match.t list -> Schema_match.t list
 (** ScoreMatch for every base match whose source is the view's base
     table (Fig. 5 lines 8–11): each match is re-scored under the view
-    and annotated with the view's condition. *)
+    and annotated with the view's condition.
+
+    With the kernel on, a view whose condition selects values of one
+    other attribute is scored in that attribute's family id space
+    ({!Column.view_columns}): matchers hinted {!Matcher.Schema_only}
+    read the base raw score, the q-gram, word and value-overlap hints
+    run on the view's family ids against each target column translated
+    into the family once per model, and any other matcher runs
+    [Matcher.score] on the cache-less view column.  No per-view
+    artefact is cached or stored; every score equals the row re-scan's
+    bit for bit. *)

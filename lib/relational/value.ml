@@ -58,12 +58,18 @@ let hash = function
 
 let is_null = function Null -> true | Bool _ | Int _ | Float _ | String _ -> false
 
+(* The runtime formatter [Printf]'s [%.1f] and [%g] end in, with the
+   format strings they build ([%g] is [%.6g]): calling it directly
+   skips interpreting the format on every cell, and the bytes are the
+   same. *)
+external format_float : string -> float -> string = "caml_format_float"
+
 let to_string = function
   | Null -> ""
   | Int i -> string_of_int i
   | Float f ->
-    if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
-    else Printf.sprintf "%g" f
+    if Float.is_integer f && Float.abs f < 1e15 then format_float "%.1f" f
+    else format_float "%.6g" f
   | String s -> s
   | Bool b -> string_of_bool b
 

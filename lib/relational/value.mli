@@ -32,7 +32,9 @@ val hash : t -> int
 val is_null : t -> bool
 
 val to_string : t -> string
-(** Display form; [Null] prints as the empty string. *)
+(** Display form; [Null] prints as the empty string.  A float prints as
+    [Printf]'s [%.1f] when it is integral and below [1e15] in
+    magnitude, as its [%g] otherwise (byte for byte). *)
 
 val to_float : t -> float option
 (** Numeric view of ints, floats and bools; [None] otherwise. *)

@@ -1,12 +1,6 @@
 type t = {
   grams : string array;
   ids : (string, int) Hashtbl.t;
-  (* dictionary-to-dictionary id translations, keyed by the *physical*
-     target dictionary and attached lazily; racy same-value writes from
-     worker domains are benign (every domain computes the identical map
-     from the two frozen gram arrays, and a list-cons store is atomic —
-     a lost entry merely recomputes) *)
-  mutable xlat : (t * int array) list;
 }
 
 let of_grams grams =
@@ -14,7 +8,7 @@ let of_grams grams =
   let grams = Array.of_list sorted in
   let ids = Hashtbl.create (max 16 (2 * Array.length grams)) in
   Array.iteri (fun i g -> Hashtbl.replace ids g i) grams;
-  { grams; ids; xlat = [] }
+  { grams; ids }
 
 (* One hash probe per gram occurrence: grams get provisional ids in
    first-seen order, which one pass over the distinct grams renumbers
@@ -49,26 +43,3 @@ let ids t grams =
 
 let gram t i = t.grams.(i)
 let size t = Array.length t.grams
-
-(* Both gram arrays are lex-sorted, so one merge pass maps every id:
-   no per-gram hashing, and the resulting map is strictly increasing on
-   the shared grams — which is what lets a translated id-sorted count
-   array stay sorted without re-sorting. *)
-let translate t ~into =
-  if t == into then Array.init (size t) Fun.id
-  else
-    match List.assq_opt into t.xlat with
-    | Some map -> map
-    | None ->
-      let n = Array.length t.grams and m = Array.length into.grams in
-      let map = Array.make n (-1) in
-      let j = ref 0 in
-      for i = 0 to n - 1 do
-        let g = t.grams.(i) in
-        while !j < m && String.compare into.grams.(!j) g < 0 do
-          incr j
-        done;
-        if !j < m && String.equal into.grams.(!j) g then map.(i) <- !j
-      done;
-      t.xlat <- (into, map) :: t.xlat;
-      map

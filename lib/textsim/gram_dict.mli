@@ -40,14 +40,3 @@ val gram : t -> int -> string
 (** Inverse of {!find}; raises [Invalid_argument] out of range. *)
 
 val size : t -> int
-
-val translate : t -> into:t -> int array
-(** [translate t ~into] maps each id of [t] to the id of the same gram
-    in [into], or [-1] when [into] lacks the gram.  Because both
-    dictionaries assign ids in gram-lexicographic order, the map is
-    strictly increasing on the shared grams, so pushing an id-sorted
-    count array through it preserves sortedness — an interned profile
-    can be re-interned against another frozen dictionary with one int
-    pass instead of a string pass.  The map is memoised on [t] (keyed
-    by the physical [into]); concurrent same-pair calls may recompute
-    the identical array, which is benign. *)

@@ -11,22 +11,9 @@ type interned = {
   complete : bool;
 }
 
-(* Two physical representations of the same abstract gram bag:
-   [Hashed] is the mutable accumulator [add]/[remove] work on;
-   [Packed] is a frozen columnar pair of id-sorted arrays against a
-   dictionary, the form partition composition produces (one k-pointer
-   merge over CSR arena rows, no string ever materialised).  Every
-   observable value — [sorted_counts], [total], [norm], the interned
-   views, hence every similarity — is a pure function of the abstract
-   bag, so the two representations score bit-identically; a mutation on
-   a [Packed] profile first rehydrates it into a hashtable. *)
-type repr =
-  | Hashed of (string, int) Hashtbl.t
-  | Packed of { pdict : Gram_dict.t; pids : int array; pcounts : int array }
-
 type t = {
   q : int;
-  mutable repr : repr;
+  counts : (string, int) Hashtbl.t;
   mutable total : int;
   (* gram-sorted view of the counts, memoised on first use and dropped
      on mutation: similarity folds run over it in one fixed order, so a
@@ -48,7 +35,7 @@ type t = {
 let create q =
   {
     q;
-    repr = Hashed (Hashtbl.create 256);
+    counts = Hashtbl.create 256;
     total = 0;
     sorted = None;
     cached_norm = None;
@@ -60,26 +47,12 @@ let invalidate t =
   t.cached_norm <- None;
   t.interned <- None
 
-(* Rehydrate a packed profile into the mutable hashtable form before a
-   mutation.  The table holds the identical (gram, count) bag, so the
-   canonical sorted view — and everything derived from it — is
-   unchanged. *)
-let force_hashed t =
-  match t.repr with
-  | Hashed h -> h
-  | Packed p ->
-    let h = Hashtbl.create (max 256 (2 * Array.length p.pids)) in
-    Array.iteri (fun k id -> Hashtbl.replace h (Gram_dict.gram p.pdict id) p.pcounts.(k)) p.pids;
-    t.repr <- Hashed h;
-    h
-
 let add t s =
-  let counts = force_hashed t in
   invalidate t;
   List.iter
     (fun gram ->
-      let n = try Hashtbl.find counts gram with Not_found -> 0 in
-      Hashtbl.replace counts gram (n + 1);
+      let n = try Hashtbl.find t.counts gram with Not_found -> 0 in
+      Hashtbl.replace t.counts gram (n + 1);
       t.total <- t.total + 1)
     (Tokenize.qgrams t.q s)
 
@@ -89,13 +62,12 @@ let add t s =
    interned view) of the patched profile equals that of a profile built
    fresh from the surviving strings. *)
 let remove t s =
-  let counts = force_hashed t in
   invalidate t;
   List.iter
     (fun gram ->
-      let n = try Hashtbl.find counts gram with Not_found -> 0 in
+      let n = try Hashtbl.find t.counts gram with Not_found -> 0 in
       if n <= 0 then invalid_arg "Profile.patch: removing absent gram";
-      if n = 1 then Hashtbl.remove counts gram else Hashtbl.replace counts gram (n - 1);
+      if n = 1 then Hashtbl.remove t.counts gram else Hashtbl.replace t.counts gram (n - 1);
       t.total <- t.total - 1)
     (Tokenize.qgrams t.q s)
 
@@ -113,8 +85,7 @@ let of_strings_array ?(q = 3) strings =
   Array.iter (add t) strings;
   t
 
-let gram_count t =
-  match t.repr with Hashed h -> Hashtbl.length h | Packed p -> Array.length p.pids
+let gram_count t = Hashtbl.length t.counts
 
 let total t = t.total
 let q t = t.q
@@ -124,15 +95,9 @@ let sorted_counts t =
   | Some a -> a
   | None ->
     let a =
-      match t.repr with
-      | Hashed h ->
-        Hashtbl.fold (fun gram n acc -> (gram, n) :: acc) h []
-        |> List.sort (fun (g1, _) (g2, _) -> String.compare g1 g2)
-        |> Array.of_list
-      | Packed p ->
-        (* ascending ids + id order = gram order: already gram-sorted *)
-        Array.init (Array.length p.pids) (fun k ->
-            (Gram_dict.gram p.pdict p.pids.(k), p.pcounts.(k)))
+      Hashtbl.fold (fun gram n acc -> (gram, n) :: acc) t.counts []
+      |> List.sort (fun (g1, _) (g2, _) -> String.compare g1 g2)
+      |> Array.of_list
     in
     t.sorted <- Some a;
     a
@@ -141,74 +106,28 @@ let counts t = sorted_counts t
 
 let of_counts ~q pairs =
   let t = create q in
-  let counts = force_hashed t in
   Array.iter
     (fun (gram, n) ->
-      Hashtbl.replace counts gram n;
+      Hashtbl.replace t.counts gram n;
       t.total <- t.total + n)
     pairs;
   t
 
-let of_ids ~q dict ids icounts =
-  let total = Array.fold_left ( + ) 0 icounts in
-  {
-    q;
-    repr = Packed { pdict = dict; pids = ids; pcounts = icounts };
-    total;
-    sorted = None;
-    cached_norm = None;
-    (* every gram of the profile is, by construction, a dictionary
-       gram, so the packed arrays double as a complete interned view *)
-    interned = Some { dict; ids; icounts; complete = true };
-  }
-
-let sum ?q profiles =
-  let q =
-    match (q, profiles) with
-    | Some q, _ -> q
-    | None, p :: _ -> p.q
-    | None, [] -> 3
-  in
-  let t = create q in
-  let counts = force_hashed t in
-  List.iter
-    (fun p ->
-      if p.q <> q then invalid_arg "Profile.sum: mixed gram lengths";
-      Array.iter
-        (fun (gram, n) ->
-          let cur = try Hashtbl.find counts gram with Not_found -> 0 in
-          Hashtbl.replace counts gram (cur + n);
-          t.total <- t.total + n)
-        (sorted_counts p))
-    profiles;
-  t
-
 (* Same fold, in the same gram-sorted order, as the historical per-call
    norm computation inside [cosine] — cached values are bit-identical
-   to freshly folded ones.  The packed branch folds the count column
-   directly: same count sequence (id order = gram order), same float
-   ops, no string materialised. *)
+   to freshly folded ones. *)
 let norm t =
   match t.cached_norm with
   | Some n -> n
   | None ->
     let total = float_of_int t.total in
     let n =
-      match t.repr with
-      | Packed p ->
-        sqrt
-          (Array.fold_left
-             (fun acc c ->
-               let f = float_of_int c /. total in
-               acc +. (f *. f))
-             0.0 p.pcounts)
-      | Hashed _ ->
-        sqrt
-          (Array.fold_left
-             (fun acc (_, c) ->
-               let f = float_of_int c /. total in
-               acc +. (f *. f))
-             0.0 (sorted_counts t))
+      sqrt
+        (Array.fold_left
+           (fun acc (_, c) ->
+             let f = float_of_int c /. total in
+             acc +. (f *. f))
+           0.0 (sorted_counts t))
     in
     t.cached_norm <- Some n;
     n
@@ -216,61 +135,26 @@ let norm t =
 let intern dict t =
   match t.interned with
   | Some i when i.dict == dict -> ()
-  | prev ->
-    let translated =
-      (* A *complete* interned view on another dictionary holds every
-         gram of the profile, so pushing it through the id translation
-         map visits exactly the profile∩dict grams — the very set the
-         string pass below would keep — in the same (still ascending)
-         id order: one int pass, no hashing, identical arrays. *)
-      match prev with
-      | Some i when i.complete ->
-        let map = Gram_dict.translate i.dict ~into:dict in
-        let n = Array.length i.ids in
-        let ids = Array.make n 0 in
-        let icounts = Array.make n 0 in
-        let k = ref 0 in
-        for j = 0 to n - 1 do
-          let m = map.(i.ids.(j)) in
-          if m >= 0 then begin
-            ids.(!k) <- m;
-            icounts.(!k) <- i.icounts.(j);
-            incr k
-          end
-        done;
-        let kept = !k in
-        let ids = if kept = n then ids else Array.sub ids 0 kept in
-        let icounts = if kept = n then icounts else Array.sub icounts 0 kept in
-        Some { dict; ids; icounts; complete = kept = n }
-      | _ -> None
-    in
-    (match translated with
-    | Some v ->
-      ignore (norm t);
-      t.interned <- Some v
-    | None ->
-      let cs = sorted_counts t in
-      let n = Array.length cs in
-      let ids = Array.make n 0 in
-      let icounts = Array.make n 0 in
-      let k = ref 0 in
-      Array.iter
-        (fun (g, c) ->
-          match Gram_dict.find dict g with
-          | Some id ->
-            ids.(!k) <- id;
-            icounts.(!k) <- c;
-            incr k
-          | None -> ())
-        cs;
-      (* lexicographic traversal + order-preserving ids = already sorted *)
-      let ids = if !k = n then ids else Array.sub ids 0 !k in
-      let icounts = if !k = Array.length icounts then icounts else Array.sub icounts 0 !k in
-      ignore (norm t);
-      t.interned <- Some { dict; ids; icounts; complete = Array.length ids = n })
-
-let interned_with t dict =
-  match t.interned with Some i -> i.dict == dict | None -> false
+  | Some _ | None ->
+    let cs = sorted_counts t in
+    let n = Array.length cs in
+    let ids = Array.make n 0 in
+    let icounts = Array.make n 0 in
+    let k = ref 0 in
+    Array.iter
+      (fun (g, c) ->
+        match Gram_dict.find dict g with
+        | Some id ->
+          ids.(!k) <- id;
+          icounts.(!k) <- c;
+          incr k
+        | None -> ())
+      cs;
+    (* lexicographic traversal + order-preserving ids = already sorted *)
+    let ids = if !k = n then ids else Array.sub ids 0 !k in
+    let icounts = if !k = n then icounts else Array.sub icounts 0 !k in
+    ignore (norm t);
+    t.interned <- Some { dict; ids; icounts; complete = !k = n }
 
 let interned_ids t dict =
   match t.interned with
@@ -283,10 +167,8 @@ let interned_ids t dict =
    exactly the grams the string merge join would — in the same
    (gram-lexicographic) order.  When the dictionaries differ (or one
    side is missing a view) but a complete side exists, the other side is
-   re-interned against it — via the translation map when it has a
-   complete view of its own, via one counts pass otherwise — which pays
-   for itself across the many pairs a candidate profile is scored
-   against. *)
+   re-interned against it with one counts pass, which pays for itself
+   across the many pairs a candidate profile is scored against. *)
 let rec kernel_pair a b =
   match (a.interned, b.interned) with
   | Some ia, Some ib ->

@@ -61,43 +61,17 @@ val of_counts : q:int -> (string * int) array -> t
     the rebuilt profile are bit-identical to the original's: the folds
     iterate gram-sorted counts, never raw hashtable order. *)
 
-val of_ids : q:int -> Gram_dict.t -> int array -> int array -> t
-(** [of_ids ~q dict ids counts]: a {e packed} profile whose gram bag is
-    [dict]'s gram of [ids.(k)] with count [counts.(k)].  [ids] must be
-    strictly ascending and every count positive; the caller asserts
-    every gram lives in [dict], so the arrays double as a complete
-    interned view against it (attached immediately — no counts pass).
-    This is the constructor partition composition uses: a k-pointer
-    merge over CSR arena rows yields the id/count columns directly, and
-    no gram string is materialised unless the profile is serialised or
-    mutated.  The profile scores bit-identically to
-    [of_counts ~q [| (gram ids.(k), counts.(k)); ... |]] — every
-    similarity fold runs over the same gram-sorted count sequence. *)
-
-val sum : ?q:int -> t list -> t
-(** Exact profile addition: the result's count for every gram is the
-    integer sum of the inputs' counts ([total] likewise).  Because a
-    profile is a pure function of its counts, summing the per-category
-    partition profiles of a column reproduces — bit for bit — the
-    profile a re-scan of the union of those categories' rows would
-    build.  [q] defaults to the first input's gram length (3 when the
-    list is empty); raises [Invalid_argument] on mixed gram lengths. *)
-
 val norm : t -> float
 (** L2 norm of the relative-frequency vector, cached after the first
     call (and recomputed after {!add}).  Equal — bitwise — to the fold
     {!cosine} historically performed per call. *)
 
 val intern : Gram_dict.t -> t -> unit
-(** Attach the interned view against [dict].  Idempotent for the same
-    dictionary; re-interning against another dictionary replaces the
-    view — via {!Gram_dict.translate} (one int pass) when the current
-    view is complete, via one counts pass otherwise; both produce the
-    identical arrays.  Safe to call concurrently from worker domains
-    for the same frozen dictionary (same-value racy writes are
-    benign). *)
-
-val interned_with : t -> Gram_dict.t -> bool
+(** Attach the interned view against [dict] (one pass over the counts).
+    Idempotent for the same dictionary; interning against another
+    dictionary replaces the view.  Safe to call concurrently from
+    worker domains for the same frozen dictionary (same-value racy
+    writes are benign). *)
 
 val interned_ids : t -> Gram_dict.t -> (int array * int array) option
 (** [(ids, counts)] of the interned view on [dict], id-sorted, covering

@@ -16,6 +16,10 @@ val jaro_winkler : ?prefix_scale:float -> string -> string -> float
 val jaccard : string list -> string list -> float
 (** Set Jaccard of token lists; 1.0 for two empty lists. *)
 
+val strictly_sorted : string list -> bool
+(** Whether the list is strictly ascending under [String.compare]: a
+    set in sorted order, which {!jaccard} counts in one merge pass. *)
+
 val dice : string list -> string list -> float
 (** Sørensen–Dice coefficient over token sets. *)
 

@@ -266,6 +266,41 @@ let test_counters_jobs_invariant () =
       ("NaiveInfer early gamma 8", retail_views_run, 200);
     ]
 
+(* --- which path scored each view column -------------------------------- *)
+
+(* Each (view, source attribute) scored counts once, on
+   [match.view_columns.composed] when the column was scored in its
+   partition family's id space, on [match.view_columns.scanned]
+   otherwise.  NaiveInfer's views all select values of one attribute,
+   so with the kernel on every column composes; with it off none
+   does. *)
+let test_view_column_paths () =
+  let count run name =
+    Option.value ~default:0 (List.assoc_opt name (counters_for run ~jobs:1))
+  in
+  let legacy ~jobs ~seed =
+    let params = { Workload.Retail.rows = 320; target_rows = 160; gamma = 8; seed } in
+    let source = Workload.Retail.source params in
+    let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
+    let config =
+      Ctxmatch.Config.with_kernel
+        (Ctxmatch.Config.with_jobs
+           (Ctxmatch.Config.with_seed (Ctxmatch.Config.early Ctxmatch.Config.default) seed)
+           jobs)
+        false
+    in
+    let infer = Ctxmatch.Context_match.infer_of `Naive ~target in
+    Ctxmatch.Context_match.run ~config ~infer ~source ~target ()
+  in
+  Alcotest.(check bool) "NaiveInfer gamma 8: columns composed" true
+    (count retail_views_run "match.view_columns.composed" > 0);
+  Alcotest.(check int) "NaiveInfer gamma 8: no column scanned" 0
+    (count retail_views_run "match.view_columns.scanned");
+  Alcotest.(check int) "kernel off: no column composed" 0
+    (count legacy "match.view_columns.composed");
+  Alcotest.(check bool) "kernel off: columns scanned" true
+    (count legacy "match.view_columns.scanned" > 0)
+
 (* --- exporters --------------------------------------------------------- *)
 
 let test_exporters_json () =
@@ -332,6 +367,7 @@ let () =
           Alcotest.test_case "disabled recorder is invisible" `Quick test_disabled_invisible;
           Alcotest.test_case "spans nest across pool fan-out" `Quick test_span_nesting;
           Alcotest.test_case "counters independent of jobs" `Slow test_counters_jobs_invariant;
+          Alcotest.test_case "view columns: composed vs scanned" `Slow test_view_column_paths;
           Alcotest.test_case "exporters emit valid JSON" `Quick test_exporters_json;
           Alcotest.test_case "memo stats accessor" `Quick test_memo_stats;
           Alcotest.test_case "profile-cache stats accessor" `Quick test_profile_cache_stats;

@@ -139,34 +139,68 @@ let test_top_k_equals_exhaustive () =
         [ (1, 0.0); (3, 0.0); (100, 0.0); (3, 0.2); (3, 0.99); (0, 0.0) ])
     candidates
 
-(* --- partitioned view profiles ----------------------------------------- *)
+(* --- partitioned view scoring --------------------------------------- *)
 
 let retail_table () =
   let params = { Workload.Retail.default_params with rows = 150; target_rows = 60 } in
   Database.table (Workload.Retail.source params) Workload.Retail.source_table_name
 
-let columns_agree what legacy composed =
-  Alcotest.(check bool)
-    (what ^ ": profile counts identical")
-    true
-    (Textsim.Profile.counts (Matching.Column.profile legacy)
-    = Textsim.Profile.counts (Matching.Column.profile composed));
-  let probe = Textsim.Profile.of_strings [ "Probe of Engineering Hits 9" ] in
-  check_bits
-    (what ^ ": cosine vs probe bit-identical")
-    (Textsim.Profile.cosine (fresh (Matching.Column.profile legacy)) probe)
-    (Textsim.Profile.cosine (fresh (Matching.Column.profile composed)) probe);
-  Alcotest.(check (list string))
-    (what ^ ": distinct identical")
-    (Matching.Column.distinct_strings legacy)
-    (Matching.Column.distinct_strings composed);
-  Alcotest.(check (list string))
-    (what ^ ": words identical")
-    (Matching.Column.words legacy)
-    (Matching.Column.words composed)
+let fp_scores l = String.concat ";" (List.map (fun (n, s) -> Printf.sprintf "%s=%h" n s) l)
+
+(* Every raw score view scoring gives [view] against every target
+   column of [model], next to its oracle: [Matcher.score] of each
+   applicable default-suite matcher on the cache-less, row-scanned view
+   column.  Each entry is (what, oracle, view scoring). *)
+let view_score_pairs model view src_attrs =
+  List.concat_map
+    (fun src_attr ->
+      let rescan = Matching.Column.of_view view src_attr in
+      List.concat_map
+        (fun tbl ->
+          List.map
+            (fun tgt_attr ->
+              let tgt_col = Matching.Column.of_table tbl tgt_attr in
+              let oracle =
+                List.filter_map
+                  (fun (m : Matching.Matcher.t) ->
+                    if Matching.Matcher.applicable_pair m rescan tgt_col then
+                      Some (m.name, Matching.Matcher.score m rescan tgt_col)
+                    else None)
+                  Matching.Matchers.default_suite
+              in
+              ( Printf.sprintf "%s.%s ~ %s.%s" (View.name view) src_attr (Table.name tbl) tgt_attr,
+                oracle,
+                Matching.Standard_match.view_scores model view ~src_attr
+                  ~tgt_table:(Table.name tbl) ~tgt_attr ))
+            (Schema.attribute_names (Table.schema tbl)))
+        (Database.tables (Matching.Standard_match.target model)))
+    src_attrs
+
+let composes model view attr =
+  Matching.Column.composed
+    (Matching.Column.of_view ~cache:(Matching.Standard_match.profile_cache model) view attr)
+  <> None
+
+let check_view_scores model view src_attrs =
+  List.iter
+    (fun attr ->
+      Alcotest.(check bool) (View.name view ^ "." ^ attr ^ " composes") true
+        (composes model view attr))
+    src_attrs;
+  List.iter
+    (fun (what, oracle, got) ->
+      Alcotest.(check string) (what ^ ": raw scores bit-identical") (fp_scores oracle)
+        (fp_scores got))
+    (view_score_pairs model view src_attrs)
 
 let test_partition_compose () =
   let tbl = retail_table () in
+  let params = { Workload.Retail.default_params with rows = 150; target_rows = 60 } in
+  let model =
+    Matching.Standard_match.build ~source:(Database.make "src" [ tbl ])
+      ~target:(Workload.Retail.target params Workload.Retail.Ryan_eyers)
+      ()
+  in
   let item_type = Workload.Retail.item_type_attr in
   let families =
     View.partition_family tbl item_type
@@ -179,22 +213,24 @@ let test_partition_compose () =
            ];
        ]
   in
-  let composed_cache = Matching.Profile_cache.create () in
-  Matching.Profile_cache.set_partitioning composed_cache true;
-  let legacy_cache = Matching.Profile_cache.create () in
   List.iter
     (fun family ->
       List.iter
-        (fun view ->
-          List.iter
-            (fun attr ->
-              columns_agree
-                (Printf.sprintf "%s / %s" (View.name view) attr)
-                (Matching.Column.of_view ~cache:legacy_cache view attr)
-                (Matching.Column.of_view ~cache:composed_cache view attr))
-            [ "Title"; "Creator"; "Price"; "ItemID" ])
+        (fun view -> check_view_scores model view [ "Title"; "Creator"; "Price"; "ItemID" ])
         family.View.views)
     families
+
+let mixed_target () =
+  Database.make "tgt"
+    [
+      Table.make
+        (Schema.make "t" [ Attribute.string "word"; Attribute.int "num"; Attribute.string "none" ])
+        [
+          [| Value.String "uno"; Value.Int 1; Value.Null |];
+          [| Value.String "one two"; Value.Int 2; Value.Null |];
+          [| Value.String "qqq zzz"; Value.Null; Value.Null |];
+        ];
+    ]
 
 (* Condition values that are equal under [Value.compare] but distinct
    constructors ([In (k, [1; 1.])]) select each row once; composition
@@ -213,13 +249,46 @@ let test_partition_compose_mixed_numeric () =
       ]
   in
   let view = View.make tbl (Condition.In ("k", [ Value.Int 1; Value.Float 1.0 ])) in
-  let composed_cache = Matching.Profile_cache.create () in
-  Matching.Profile_cache.set_partitioning composed_cache true;
-  let legacy_cache = Matching.Profile_cache.create () in
+  let model =
+    Matching.Standard_match.build ~source:(Database.make "src" [ tbl ]) ~target:(mixed_target ()) ()
+  in
   Alcotest.(check int) "view selects the Int 1 rows" 2 (View.row_count view);
-  columns_agree "mixed numeric In"
-    (Matching.Column.of_view ~cache:legacy_cache view "txt")
-    (Matching.Column.of_view ~cache:composed_cache view "txt")
+  check_view_scores model view [ "txt" ]
+
+(* Targets whose grams and words no family holds, an empty target
+   column, and sets empty on both sides (Jaccard 1.0). *)
+let test_view_scores_edges () =
+  let schema =
+    Schema.make "edges" [ Attribute.string "k"; Attribute.string "txt"; Attribute.int "n" ]
+  in
+  let tbl =
+    Table.make schema
+      [
+        [| Value.String "a"; Value.String "uno"; Value.Int 1 |];
+        [| Value.String "b"; Value.Null; Value.Null |];
+        [| Value.String "b"; Value.Null; Value.Null |];
+        [| Value.String "c"; Value.String "\xc3\xa9"; Value.Int 7 |];
+      ]
+  in
+  let model =
+    Matching.Standard_match.build ~source:(Database.make "src" [ tbl ]) ~target:(mixed_target ()) ()
+  in
+  List.iter
+    (fun v ->
+      check_view_scores model (View.make tbl (Condition.Eq ("k", Value.String v))) [ "txt"; "n" ])
+    [ "a"; "b"; "c" ];
+  let empty_both = View.make tbl (Condition.Eq ("k", Value.String "b")) in
+  let scores = Matching.Standard_match.view_scores model empty_both ~src_attr:"txt" in
+  List.iter
+    (fun matcher ->
+      check_bits ("both sets empty: " ^ matcher) 1.0
+        (List.assoc matcher (scores ~tgt_table:"t" ~tgt_attr:"none")))
+    [ "word"; "value-overlap" ];
+  check_bits "no shared word" 0.0
+    (List.assoc "word"
+       (Matching.Standard_match.view_scores model
+          (View.make tbl (Condition.Eq ("k", Value.String "c")))
+          ~src_attr:"txt" ~tgt_table:"t" ~tgt_attr:"word"))
 
 (* --- end-to-end -------------------------------------------------------- *)
 
@@ -273,25 +342,34 @@ let in_temp_dir f =
       ignore (Sys.command (Printf.sprintf "rm -rf %s" (Filename.quote dir))))
     (fun () -> f dir)
 
-(* Stored artefacts serialise by gram string, never by interner id, so a
-   store written by a kernel run warms a legacy run (and vice versa)
-   with byte-identical results and zero recomputation. *)
+(* Stored artefacts serialise by gram string, never by interner id, and
+   a kernel run stores no per-view artefact: it scores views in their
+   family's id space.  A store written by a kernel run therefore warms
+   a kernel run with zero recomputation, and a legacy run with exactly
+   its row-scanned view artefacts recomputed (48 here; base and
+   per-group artefacts all come from the store).  The legacy run writes
+   those through, so once it is flushed the store warms both modes with
+   zero recomputation. *)
 let test_store_interner_independent () =
   in_temp_dir @@ fun dir ->
   let cold_store = Store.open_dir dir in
   let cold = retail_run ~store:cold_store ~kernel:true ~jobs:1 ~seed:3 () in
   Store.flush cold_store;
-  List.iter
-    (fun kernel ->
-      let warm_store = Store.open_dir dir in
-      let warm = retail_run ~store:warm_store ~kernel ~jobs:1 ~seed:3 () in
-      Alcotest.(check string)
-        (Printf.sprintf "warm kernel=%b identical to cold" kernel)
-        (fingerprint cold) (fingerprint warm);
-      Alcotest.(check int)
-        (Printf.sprintf "warm kernel=%b recomputes nothing" kernel)
-        0 warm.Ctxmatch.Context_match.profile_builds)
-    [ true; false ]
+  let warm ~kernel what builds =
+    let warm_store = Store.open_dir dir in
+    let warm = retail_run ~store:warm_store ~kernel ~jobs:1 ~seed:3 () in
+    Alcotest.(check string)
+      (Printf.sprintf "%s: warm kernel=%b identical to cold" what kernel)
+      (fingerprint cold) (fingerprint warm);
+    Alcotest.(check int)
+      (Printf.sprintf "%s: warm kernel=%b rebuilds" what kernel)
+      builds warm.Ctxmatch.Context_match.profile_builds;
+    warm_store
+  in
+  ignore (warm ~kernel:true "kernel-written store" 0);
+  Store.flush (warm ~kernel:false "kernel-written store" 48);
+  ignore (warm ~kernel:false "legacy-healed store" 0);
+  ignore (warm ~kernel:true "legacy-healed store" 0)
 
 (* --- model-level top-k ------------------------------------------------- *)
 
@@ -454,8 +532,8 @@ let qcheck_topk =
       exhaustive_top_k targets cand ~k:kk ~tau = got)
 
 (* CSR family composition round-trip: for random partitioned tables and
-   random slot subsets, the arena-composed profile must carry the exact
-   count bag of the boxed [Profile.sum] of the group profiles, and score
+   random slot subsets, the arena-composed counts must be the exact
+   count bag of the boxed sum of the group profiles' counts, and score
    bit-identically to a raw re-tokenisation of the selected rows. *)
 let qcheck_compose =
   let gen =
@@ -486,16 +564,35 @@ let qcheck_compose =
         Matching.Profile_cache.family cache ~table:tbl ~cond_attr:"k" ~attr:"txt"
           ~profile_of:(fun indices -> Textsim.Profile.of_strings (sub_strings indices))
       in
-      let n = Array.length fam.Matching.Profile_cache.fam_profiles in
+      let part = Matching.Profile_cache.partition cache ~table:tbl ~cond_attr:"k" in
+      let n = Array.length part.Matching.Profile_cache.part_indices in
       let slots = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
       match slots with
       | [] -> true
       | slots ->
-        let part = Matching.Profile_cache.partition cache ~table:tbl ~cond_attr:"k" in
-        let composed = Matching.Profile_cache.compose_profile fam slots in
+        let composed = Matching.Profile_cache.compose_counts fam slots in
+        let composed_counts =
+          Array.map2
+            (fun id c -> (Textsim.Gram_dict.gram fam.Matching.Profile_cache.fam_dict id, c))
+            composed.Matching.Profile_cache.vc_ids composed.Matching.Profile_cache.vc_counts
+        in
+        (* the group profiles the family was packed from, by group key *)
+        let group s =
+          Matching.Profile_cache.profile cache
+            ("fam", "txt", part.Matching.Profile_cache.part_digests.(s))
+            (fun () -> failwith "group profile not cached")
+        in
         let boxed =
-          Textsim.Profile.sum
-            (List.map (fun s -> fam.Matching.Profile_cache.fam_profiles.(s)) slots)
+          Textsim.Profile.of_counts ~q:3
+            (List.concat_map (fun s -> Array.to_list (Textsim.Profile.counts (group s))) slots
+            |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+            |> List.fold_left
+                 (fun acc (g, c) ->
+                   match acc with
+                   | (g', c') :: rest when String.equal g g' -> (g, c + c') :: rest
+                   | _ -> (g, c) :: acc)
+                 []
+            |> List.rev |> Array.of_list)
         in
         let raw =
           Textsim.Profile.of_strings
@@ -504,14 +601,21 @@ let qcheck_compose =
                slots)
         in
         let probe = Textsim.Profile.of_strings [ "abc ea bdbd" ] in
-        Textsim.Profile.counts composed = Textsim.Profile.counts boxed
-        && Textsim.Profile.counts composed = Textsim.Profile.counts raw
-        && Printf.sprintf "%h" (Textsim.Profile.norm composed)
+        let oracle_cos = Printf.sprintf "%h" (Textsim.Profile.cosine (fresh raw) probe) in
+        composed_counts = Textsim.Profile.counts boxed
+        && composed_counts = Textsim.Profile.counts raw
+        && composed.Matching.Profile_cache.vc_total = Textsim.Profile.total raw
+        && Printf.sprintf "%h" composed.Matching.Profile_cache.vc_norm
            = Printf.sprintf "%h" (Textsim.Profile.norm raw)
-        && Printf.sprintf "%h" (Textsim.Profile.cosine (fresh composed) probe)
-           = Printf.sprintf "%h" (Textsim.Profile.cosine (fresh raw) probe))
+        && Printf.sprintf "%h"
+             (Textsim.Profile.cosine (Textsim.Profile.of_counts ~q:3 composed_counts) probe)
+           = oracle_cos
+        && Printf.sprintf "%h"
+             (Matching.Profile_cache.cosine composed
+                (Matching.Profile_cache.target_counts fam ("probe", "p") (fun () -> probe)))
+           = oracle_cos)
 
-(* --- view composition = row re-scan -------------------------------------- *)
+(* --- view scores = row re-scan scores --------------------------------- *)
 
 (* Condition cells: nulls, [Int 1] next to [Float 1.] (one partition
    group under [Value.compare]); condition lists add values absent from
@@ -528,57 +632,70 @@ let txt_pool =
   [| ""; "a"; "ab"; "abc"; "abcd"; "abd"; "\xc3\xa9"; "\xc3\xa9a"; "\xe6\x97\xa5\xe6\x9c\xac";
      "\xe6\x97\xa5\xe6\x9c\xac\xe8\xaa\x9e"; "na\xc3\xafve caf\xc3\xa9"; "a b"; "b a" |]
 
-let compose_case_gen =
+(* Target text whose grams and words no source family holds. *)
+let alien_pool = [| "qqq"; "zzz yyy"; "xwv"; "QQQ 99" |]
+
+let view_case_gen =
   QCheck.Gen.(
+    let opt p gen = frequency [ (1, return Value.Null); (p, gen) ] in
     let txt =
-      frequency
-        [
-          (1, return Value.Null);
-          (3, map (fun s -> Value.String s) (oneofa txt_pool));
-          (2, map (fun s -> Value.String s) words_gen);
-        ]
+      opt 5
+        (frequency
+           [
+             (3, map (fun s -> Value.String s) (oneofa txt_pool));
+             (2, map (fun s -> Value.String s) words_gen);
+           ])
     in
-    let n = frequency [ (1, return Value.Null); (4, map (fun i -> Value.Int i) (0 -- 5)) ] in
-    triple
+    let n = opt 4 (map (fun i -> Value.Int i) (0 -- 5)) in
+    let alien = opt 3 (map (fun s -> Value.String s) (oneofa alien_pool)) in
+    quad
       (list_size (0 -- 24) (triple (oneofa k_pool) txt n))
       (list_size (1 -- 6) (list_size (1 -- 4) (oneofa cond_pool)))
-      bool)
+      bool
+      (list_size (0 -- 6) (triple txt alien n)))
 
-let same_profile a b =
-  Textsim.Profile.counts a = Textsim.Profile.counts b
-  && Textsim.Profile.total a = Textsim.Profile.total b
-  && Printf.sprintf "%h" (Textsim.Profile.norm a) = Printf.sprintf "%h" (Textsim.Profile.norm b)
-
-(* Every view of a random table, composed through one shared cache
-   (families warmed up front or built on first touch), against a
-   cache-less row re-scan of the same view: profile counts, total and
-   norm, distinct and word sets of the text attribute, distinct set of
-   the int attribute. *)
-let qcheck_view_compose =
-  QCheck.Test.make ~name:"composed view artefacts = row re-scan" ~count:200
-    (QCheck.make compose_case_gen)
-    (fun (rows, conds, warm) ->
+(* Every view of a random table, scored through a kernel model (its
+   families warmed up front or built on first touch), against
+   [Matcher.score] on the cache-less, row-scanned view column: q-gram,
+   word, value-overlap, name and type scores of the text attribute, and
+   value-overlap, numeric, range, name and type scores of the int
+   attribute, against text, alien-text, empty and int target columns. *)
+let qcheck_view_scores =
+  QCheck.Test.make ~name:"view scores = row re-scan scores" ~count:200
+    (QCheck.make view_case_gen)
+    (fun (rows, conds, warm, trows) ->
       let schema =
         Schema.make "comp" [ Attribute.float "k"; Attribute.string "txt"; Attribute.int "n" ]
       in
       let tbl = Table.make schema (List.map (fun (k, t, n) -> [| k; t; n |]) rows) in
-      let cache = Matching.Profile_cache.create () in
-      Matching.Profile_cache.set_partitioning cache true;
-      if warm then Matching.Column.warm_families cache tbl;
+      let target =
+        Database.make "tgt"
+          [
+            Table.make
+              (Schema.make "tg"
+                 [
+                   Attribute.string "tt";
+                   Attribute.string "alien";
+                   Attribute.int "tn";
+                   Attribute.string "empty";
+                 ])
+              (List.map (fun (t, a, n) -> [| t; a; n; Value.Null |]) trows);
+          ]
+      in
+      let model =
+        Matching.Standard_match.build ~source:(Database.make "src" [ tbl ]) ~target ()
+      in
+      if warm then Matching.Column.warm_families (Matching.Standard_match.profile_cache model) tbl;
       List.for_all
         (fun vs ->
           let cond = match vs with [ v ] -> Condition.Eq ("k", v) | vs -> Condition.In ("k", vs) in
           let view = View.make tbl cond in
-          let composed = Matching.Column.view_columns ~cache view in
-          let rescan = Matching.Column.of_view view in
-          same_profile
-            (Matching.Column.profile (composed "txt"))
-            (Matching.Column.profile (rescan "txt"))
-          && Matching.Column.distinct_strings (composed "txt")
-             = Matching.Column.distinct_strings (rescan "txt")
-          && Matching.Column.words (composed "txt") = Matching.Column.words (rescan "txt")
-          && Matching.Column.distinct_strings (composed "n")
-             = Matching.Column.distinct_strings (rescan "n"))
+          View.row_count view = 0
+          || composes model view "txt"
+             && composes model view "n"
+             && List.for_all
+                  (fun (_, oracle, got) -> fp_scores oracle = fp_scores got)
+                  (view_score_pairs model view [ "txt"; "n" ]))
         conds)
 
 (* The per-domain scratch vector is shared by every composition on a
@@ -617,29 +734,34 @@ let test_compose_scratch_reuse () =
         List.concat_map Textsim.Tokenize.words (sub_strings tbl indices)
         |> List.sort_uniq String.compare)
   in
+  let same_counts (a : Matching.Profile_cache.view_counts) (b : Matching.Profile_cache.view_counts)
+      =
+    a.vc_ids = b.vc_ids && a.vc_counts = b.vc_counts && a.vc_total = b.vc_total
+    && Printf.sprintf "%h" a.vc_norm = Printf.sprintf "%h" b.vc_norm
+  in
   let on_fresh_domain f = Domain.join (Domain.spawn f) in
   let check (tbl, slots) =
     let what =
       Printf.sprintf "%s %s" (Table.name tbl) (String.concat "," (List.map string_of_int slots))
     in
     let f = fam tbl and s = sets tbl in
-    let p = Matching.Profile_cache.compose_profile f slots in
-    let p' = on_fresh_domain (fun () -> Matching.Profile_cache.compose_profile f slots) in
-    Alcotest.(check bool) (what ^ ": profile = fresh compose") true (same_profile p p');
-    Alcotest.(check (list string))
+    let p = Matching.Profile_cache.compose_counts f slots in
+    let p' = on_fresh_domain (fun () -> Matching.Profile_cache.compose_counts f slots) in
+    Alcotest.(check bool) (what ^ ": counts = fresh compose") true (same_counts p p');
+    Alcotest.(check (array int))
       (what ^ ": set = fresh compose")
-      (on_fresh_domain (fun () -> Matching.Profile_cache.compose_set s slots))
-      (Matching.Profile_cache.compose_set s slots)
+      (on_fresh_domain (fun () -> Matching.Profile_cache.compose_ids s slots))
+      (Matching.Profile_cache.compose_ids s slots)
   in
   Alcotest.(check bool) "large vocabulary dwarfs the small one" true
     (Textsim.Gram_dict.size (fam large).Matching.Profile_cache.fam_dict
     > 10 * Textsim.Gram_dict.size (fam small).Matching.Profile_cache.fam_dict);
   List.iter check [ (large, [ 0; 3; 7; 12; 29 ]); (small, [ 0; 1 ]); (large, [ 1; 3; 29 ]) ];
-  (match Matching.Profile_cache.compose_profile (fam large) [ 0; 1; 999 ] with
+  (match Matching.Profile_cache.compose_counts (fam large) [ 0; 1; 999 ] with
   | _ -> Alcotest.fail "slot 999 does not exist"
   | exception Invalid_argument _ -> ());
   check (large, [ 0; 1; 2 ]);
-  (match Matching.Profile_cache.compose_set (sets large) [ 4; 5; 999 ] with
+  (match Matching.Profile_cache.compose_ids (sets large) [ 4; 5; 999 ] with
   | _ -> Alcotest.fail "slot 999 does not exist"
   | exception Invalid_argument _ -> ());
   check (large, [ 4; 5; 6 ])
@@ -687,6 +809,8 @@ let () =
         [
           Alcotest.test_case "composed view artefacts" `Quick test_partition_compose;
           Alcotest.test_case "mixed numeric In" `Quick test_partition_compose_mixed_numeric;
+          Alcotest.test_case "absent grams, empty targets, empty sets" `Quick
+            test_view_scores_edges;
           Alcotest.test_case "scratch reuse across families" `Quick test_compose_scratch_reuse;
           Alcotest.test_case "view column key" `Quick test_view_column_key;
         ] );
@@ -708,6 +832,6 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_topk;
           QCheck_alcotest.to_alcotest qcheck_compose;
-          QCheck_alcotest.to_alcotest qcheck_view_compose;
+          QCheck_alcotest.to_alcotest qcheck_view_scores;
         ] );
     ]

@@ -71,6 +71,37 @@ let qcheck_compare_antisymmetric =
   QCheck.Test.make ~name:"compare antisymmetric" ~count:500 (QCheck.pair gen gen)
     (fun (a, b) -> compare (Value.compare a b) 0 = compare 0 (Value.compare b a))
 
+(* [to_string] calls the runtime float formatter directly; its bytes
+   must be [Printf]'s for every float: random bit patterns (every
+   exponent, NaN payloads included) and the edges of the integral
+   branch. *)
+let printf_to_string f =
+  if Float.is_integer f && Float.abs f < 1e15 then Printf.sprintf "%.1f" f
+  else Printf.sprintf "%g" f
+
+let float_edges =
+  let around x = [ Float.pred x; x; Float.succ x ] in
+  [ Float.nan; -.Float.nan; Float.infinity; Float.neg_infinity; 0.0; -0.0; Float.min_float;
+    -.Float.min_float; 5e-324; -5e-324; Float.pred Float.min_float; Float.max_float;
+    -.Float.max_float; 0.1; 123456.5; 1234567.0; 0.0001; 0.00001 ]
+  @ around 1e15 @ around (-1e15) @ around 1e16 @ around 9007199254740992.0
+
+let test_float_to_string_edges () =
+  List.iter
+    (fun f ->
+      Alcotest.(check string) (Printf.sprintf "%h" f) (printf_to_string f)
+        (Value.to_string (Value.Float f)))
+    float_edges
+
+let qcheck_float_to_string =
+  let bits = QCheck.map Int64.float_of_bits QCheck.int64 in
+  let gen =
+    QCheck.oneof
+      [ bits; QCheck.float; QCheck.map float_of_int QCheck.int; QCheck.oneofl float_edges ]
+  in
+  QCheck.Test.make ~name:"float to_string = Printf" ~count:2000 gen (fun f ->
+      Value.to_string (Value.Float f) = printf_to_string f)
+
 let suite =
   [
     Alcotest.test_case "type_of" `Quick test_type_of;
@@ -82,5 +113,7 @@ let suite =
     Alcotest.test_case "of_string_as" `Quick test_of_string_as;
     Alcotest.test_case "infer" `Quick test_infer;
     Alcotest.test_case "ty roundtrip" `Quick test_ty_roundtrip;
+    Alcotest.test_case "float to_string edges = Printf" `Quick test_float_to_string_edges;
     QCheck_alcotest.to_alcotest qcheck_compare_antisymmetric;
+    QCheck_alcotest.to_alcotest qcheck_float_to_string;
   ]
