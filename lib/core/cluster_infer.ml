@@ -202,7 +202,7 @@ let infer =
   {
     Infer.infer_name = "cluster";
     infer =
-      (fun rng config ~source_table ~matches ->
+      (fun ?coded:_ rng config ~source_table ~matches ->
         if matches = [] then []
         else Clustered_view_gen.generate rng config teacher source_table);
   }

@@ -9,8 +9,8 @@ let restrict_infer (infer : Infer.t) forbidden =
   {
     infer with
     Infer.infer =
-      (fun rng config ~source_table ~matches ->
-        let families = infer.Infer.infer rng config ~source_table ~matches in
+      (fun ?coded rng config ~source_table ~matches ->
+        let families = infer.Infer.infer ?coded rng config ~source_table ~matches in
         let bad =
           try Hashtbl.find forbidden (Table.name source_table) with Not_found -> []
         in

@@ -71,7 +71,11 @@ let run ?(config = Config.default) ?store ?prepared ?deadline ~infer ~source ~ta
          inference" phase. *)
       let families =
         Obs.Trace.with_span "infer_views" @@ fun () ->
-        match infer.Infer.infer (Stats.Rng.split rng) config ~source_table ~matches:m with
+        match
+          infer.Infer.infer
+            ~coded:(Matching.Standard_match.coded model source_table)
+            (Stats.Rng.split rng) config ~source_table ~matches:m
+        with
         | families -> families
         | exception e ->
           Robust.Report.record report ~table:src_name Robust.Error.Infer
@@ -137,8 +141,7 @@ let run ?(config = Config.default) ?store ?prepared ?deadline ~infer ~source ~ta
   in
   let cache_hits, cache_misses = Matching.Standard_match.cache_stats model in
   (* One-shot export of the run's cache economics and containment
-     outcome.  The lookup total is jobs-invariant; the hit/miss split
-     can shift by same-key compute races (see Runtime.Memo). *)
+     outcome, all jobs-invariant: the memo computes each key once. *)
   if !Obs.Recorder.enabled then begin
     Obs.Metrics.add "cache.profile.hits" cache_hits;
     Obs.Metrics.add "cache.profile.misses" cache_misses;

@@ -15,12 +15,16 @@ type result = {
   scored : Select_matches.scored_view list;  (** RL grouped per view *)
   candidate_view_count : int;
   elapsed_seconds : float;
-  cache_hits : int;  (** profile-cache lookups answered from the cache *)
-  cache_misses : int;  (** profile-cache lookups that had to compute *)
+  cache_hits : int;
+      (** profile-cache lookups answered from the cache: the source
+          cache's, plus the target cache's when the run prepared the
+          target itself (no [prepared]) *)
+  cache_misses : int;  (** lookups of the same caches that had to compute *)
   profile_builds : int;
-      (** column artefacts computed from raw values: lookups that
-          missed both the in-memory caches and the persistent store.
-          0 on a fully warm [store] run over unchanged inputs *)
+      (** column artefacts of the same caches computed from raw values:
+          lookups that missed both the in-memory caches and the
+          persistent store.  At most [cache_misses]; 0 on a fully warm
+          [store] run over unchanged inputs *)
   issues : Robust.Error.t list;
       (** units of work quarantined during this run (skipped source
           attributes, candidate views, inference failures, deadline

@@ -3,6 +3,7 @@ open Relational
 type t = {
   infer_name : string;
   infer :
+    ?coded:(string -> Textsim.Coded.t) ->
     Stats.Rng.t ->
     Config.t ->
     source_table:Table.t ->

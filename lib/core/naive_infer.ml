@@ -45,7 +45,7 @@ let infer =
   {
     Infer.infer_name = "naive";
     infer =
-      (fun _rng (config : Config.t) ~source_table ~matches ->
+      (fun ?coded:_ _rng (config : Config.t) ~source_table ~matches ->
         if matches = [] then []
         else begin
           let categorical =

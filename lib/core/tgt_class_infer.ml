@@ -139,7 +139,7 @@ let infer target_db =
   {
     Infer.infer_name = "tgt-class";
     infer =
-      (fun rng config ~source_table ~matches ->
+      (fun ?coded:_ rng config ~source_table ~matches ->
         if matches = [] then []
         else Clustered_view_gen.generate rng config teacher source_table);
   }

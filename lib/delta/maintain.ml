@@ -14,8 +14,7 @@ type t = {
   m_chain : (string, int) Hashtbl.t;
 }
 
-let create ?store ?(kernel = true) ?(churn = 0.25) ?(compact_after = 32) ?(cond_attrs = [])
-    ~target ~prepared () =
+let create ?store ?(kernel = true) ?(churn = 0.25) ?(compact_after = 32) ~target ~prepared () =
   {
     m_store = store;
     m_kernel = kernel;
@@ -23,13 +22,7 @@ let create ?store ?(kernel = true) ?(churn = 0.25) ?(compact_after = 32) ?(cond_
     m_compact_after = compact_after;
     m_target = target;
     m_prepared = prepared;
-    m_states =
-      List.map
-        (fun tbl ->
-          let name = Table.name tbl in
-          let ca = Option.value ~default:[] (List.assoc_opt name cond_attrs) in
-          (name, Profiles.create ~cond_attrs:ca tbl))
-        (Database.tables target);
+    m_states = List.map (fun tbl -> (Table.name tbl, Profiles.create tbl)) (Database.tables target);
     m_generation = 0;
     m_chain = Hashtbl.create 8;
   }
@@ -61,7 +54,7 @@ let update t delta =
         ~key:(Printf.sprintf "%s:%d" tname (t.m_generation + 1));
       let finish_rebuild reason =
         let new_table = Core.apply delta old_table in
-        let st' = Profiles.create ~cond_attrs:(Profiles.cond_attrs st) new_table in
+        let st' = Profiles.create new_table in
         let target = Database.replace_table t.m_target new_table in
         let prepared =
           Matching.Standard_match.prepare_target ?store:t.m_store ~kernel:t.m_kernel ~target ()

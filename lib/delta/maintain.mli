@@ -30,7 +30,6 @@ val create :
   ?kernel:bool ->
   ?churn:float ->
   ?compact_after:int ->
-  ?cond_attrs:(string * string list) list ->
   target:Relational.Database.t ->
   prepared:Matching.Standard_match.prepared_target ->
   unit ->
@@ -40,8 +39,7 @@ val create :
     the flag [prepared] was built with (it governs rebuilds).  [churn]
     (default 0.25) is the patch/rebuild threshold on
     {!Core.churn}; [compact_after] (default 32) bounds store
-    delta-chain length; [cond_attrs] maps table names to condition
-    attributes whose partition profiles are maintained too. *)
+    delta-chain length. *)
 
 val update : t -> Core.t -> (outcome, string) result
 (** Apply one delta: validate, pass the fault site, then patch or

@@ -6,27 +6,16 @@ open Relational
    — a value vanishes when its last occurrence does, never before. *)
 type attr_state = {
   a_attr : string;
-  a_textual : bool;
   a_numeric : bool;
   a_profile : Textsim.Profile.t option;
   a_distinct : (string, int) Hashtbl.t option;
   a_words : (string, int) Hashtbl.t option;
 }
 
-(* Per condition attribute: the per-value partition profiles of every
-   textual attribute (PR 5's invertible partition algebra, now patched
-   in both directions).  Values are grouped under [Value.compare], like
-   [Profile_cache.partition]. *)
-type partition_state = {
-  ps_cond : string;
-  mutable ps_groups : (Value.t * (string, Textsim.Profile.t) Hashtbl.t) list;
-}
-
 type t = {
   mutable p_table : Table.t;
   mutable p_digest : string option;
   p_attrs : attr_state list;
-  p_parts : partition_state list;
 }
 
 let copy_profile p = Textsim.Profile.of_counts ~q:(Textsim.Profile.q p) (Textsim.Profile.counts p)
@@ -43,18 +32,6 @@ let multiset_keys h =
   Hashtbl.fold (fun k _ acc -> k :: acc) h [] |> List.sort String.compare
 
 let cell_string v = if Value.is_null v then None else Some (Value.to_string v)
-
-let find_group ps v = List.find_opt (fun (gv, _) -> Value.compare gv v = 0) ps.ps_groups
-
-let group_profile groups attr =
-  match Hashtbl.find_opt groups attr with
-  | Some p -> p
-  | None ->
-    let p = Textsim.Profile.of_strings [] in
-    Hashtbl.replace groups attr p;
-    p
-
-let textual_attrs t = List.filter (fun a -> a.a_textual) t.p_attrs
 
 (* Fold one row into (dir = +1) or out of (dir = -1) the maintained
    state.  The two directions are exact integer inverses, so any
@@ -81,32 +58,9 @@ let fold_row t schema dir row =
             (fun w -> if dir > 0 then multiset_add h w else multiset_remove h w)
             (Textsim.Tokenize.words s)
         | None -> ()))
-    t.p_attrs;
-  List.iter
-    (fun ps ->
-      let cv = row.(Schema.index_of schema ps.ps_cond) in
-      if not (Value.is_null cv) then begin
-        let groups =
-          match find_group ps cv with
-          | Some (_, g) -> g
-          | None ->
-            let g = Hashtbl.create 8 in
-            ps.ps_groups <- (cv, g) :: ps.ps_groups;
-            g
-        in
-        List.iter
-          (fun a ->
-            match cell_string row.(Schema.index_of schema a.a_attr) with
-            | None -> ()
-            | Some s ->
-              let p = group_profile groups a.a_attr in
-              if dir > 0 then Textsim.Profile.patch p ~add:[ s ] ~remove:[]
-              else Textsim.Profile.patch p ~add:[] ~remove:[ s ])
-          (textual_attrs t)
-      end)
-    t.p_parts
+    t.p_attrs
 
-let create ?(cond_attrs = []) table =
+let create table =
   let schema = Table.schema table in
   let attrs =
     List.map
@@ -116,7 +70,6 @@ let create ?(cond_attrs = []) table =
         let int_distinct = attr.Attribute.ty = Value.Tint in
         {
           a_attr = name;
-          a_textual = textual;
           a_numeric = Attribute.is_numeric attr;
           a_profile = (if textual then Some (Textsim.Profile.of_strings []) else None);
           a_distinct =
@@ -125,21 +78,12 @@ let create ?(cond_attrs = []) table =
         })
       (Schema.attribute_names schema)
   in
-  let parts =
-    List.filter_map
-      (fun cond ->
-        match Schema.index_of_opt schema cond with
-        | Some _ -> Some { ps_cond = cond; ps_groups = [] }
-        | None -> None)
-      (List.sort_uniq String.compare cond_attrs)
-  in
-  let t = { p_table = table; p_digest = None; p_attrs = attrs; p_parts = parts } in
+  let t = { p_table = table; p_digest = None; p_attrs = attrs } in
   Array.iter (fold_row t schema 1) (Table.rows table);
   t
 
 let table t = t.p_table
 let name t = Table.name t.p_table
-let cond_attrs t = List.map (fun ps -> ps.ps_cond) t.p_parts
 
 let digest t =
   match t.p_digest with
@@ -188,14 +132,6 @@ let summary t attr =
          |> List.filter_map Value.to_float |> Array.of_list))
   | Some _ | None -> None
 
-let partition_profile t ~cond_attr ~value ~attr =
-  match List.find_opt (fun ps -> String.equal ps.ps_cond cond_attr) t.p_parts with
-  | None -> None
-  | Some ps -> (
-    match find_group ps value with
-    | None -> None
-    | Some (_, groups) -> Option.map copy_profile (Hashtbl.find_opt groups attr))
-
 let column_patches t =
   List.map
     (fun a ->
@@ -206,49 +142,3 @@ let column_patches t =
         cp_words = Option.map multiset_keys a.a_words;
       })
     t.p_attrs
-
-(* Seed a cache (and through it an attached store) with the maintained
-   artefacts under the exact keys cold computation uses: the full-range
-   key per attribute, and per condition attribute the partition-group
-   keys, whose digests [Profile_cache.partition] takes once from the
-   current rows.
-   A value present only in deleted rows has no group in the cold
-   partition and is skipped — its maintained (empty) profile describes
-   rows that no longer exist. *)
-let seed t cache =
-  let tname = name t in
-  Matching.Profile_cache.register_digest cache ~table:tname ~digest:(digest t);
-  let full = Array.init (Table.row_count t.p_table) Fun.id in
-  List.iter
-    (fun a ->
-      let ((tbl, attr, subset) as k) =
-        Matching.Profile_cache.key ~table:tname ~attr:a.a_attr ~indices:full
-      in
-      (match a.a_profile with
-      | Some p -> Matching.Profile_cache.seed_profile cache k (copy_profile p)
-      | None -> ());
-      (match a.a_distinct with
-      | Some h -> Matching.Profile_cache.seed_distinct cache k (multiset_keys h)
-      | None -> ());
-      match a.a_words with
-      | Some h ->
-        Matching.Profile_cache.seed_distinct cache
-          (tbl, Matching.Column.words_attr attr, subset)
-          (multiset_keys h)
-      | None -> ())
-    t.p_attrs;
-  List.iter
-    (fun ps ->
-      let part = Matching.Profile_cache.partition cache ~table:t.p_table ~cond_attr:ps.ps_cond in
-      List.iter
-        (fun (v, groups) ->
-          match Matching.Profile_cache.partition_slot part v with
-          | None -> ()
-          | Some slot ->
-            let subset = part.Matching.Profile_cache.part_digests.(slot) in
-            Hashtbl.iter
-              (fun attr p ->
-                Matching.Profile_cache.seed_profile cache (tname, attr, subset) (copy_profile p))
-              groups)
-        ps.ps_groups)
-    t.p_parts

@@ -1,10 +1,11 @@
 (** Delta-maintained per-table column artefacts.
 
-    One value of [t] tracks a table and every artefact the matcher
-    derives from it — q-gram profiles, distinct sets, word sets,
-    per-condition-value partition profiles — and patches them in
-    O(delta) as {!Core.t} mutations arrive, instead of re-scanning the
-    table.
+    One value of [t] tracks a table and the base-column artefacts the
+    matcher derives from it — q-gram profiles, distinct sets, word
+    sets — and patches them in O(delta) as {!Core.t} mutations arrive,
+    instead of re-scanning the table.  Per-group (partition) artefacts
+    are not maintained: partition families are counted from a coded
+    column on first use and never keyed.
 
     {2 Exactness}
 
@@ -19,11 +20,8 @@
 
 type t
 
-val create : ?cond_attrs:string list -> Relational.Table.t -> t
-(** Scan [table] once and take ownership of its maintained state.
-    [cond_attrs] names the condition attributes whose per-value
-    partition profiles should also be maintained (unknown names are
-    ignored). *)
+val create : Relational.Table.t -> t
+(** Scan [table] once and take ownership of its maintained state. *)
 
 val apply : t -> Core.t -> unit
 (** Patch every maintained artefact by the delta and advance the
@@ -40,8 +38,6 @@ val digest : t -> string
 (** {!Store.table_digest} of the current table, computed lazily and
     cached until the next {!apply}. *)
 
-val cond_attrs : t -> string list
-
 val profile : t -> string -> Textsim.Profile.t option
 (** Maintained q-gram profile of a textual attribute (a fresh copy —
     callers cannot corrupt the maintained state).  [None] for unknown
@@ -56,19 +52,6 @@ val words : t -> string -> string list option
 val summary : t -> string -> Stats.Descriptive.summary option
 (** Numeric summary over the current rows (recomputed, see above). *)
 
-val partition_profile :
-  t -> cond_attr:string -> value:Relational.Value.t -> attr:string ->
-  Textsim.Profile.t option
-(** Maintained partition profile of [attr] restricted to the rows where
-    [cond_attr] holds [value] (grouping under [Value.compare]). *)
-
 val column_patches : t -> Matching.Standard_match.column_patch list
 (** The maintained artefacts of every attribute, shaped for
     {!Matching.Standard_match.patch_prepared}. *)
-
-val seed : t -> Matching.Profile_cache.t -> unit
-(** Seed [cache] (and its attached store, if any) with the maintained
-    artefacts under the exact keys cold computation uses: full-range
-    keys per attribute, partition-group keys per condition attribute.
-    Registers the current table digest.  A condition value present only
-    in deleted rows has no group in the cold partition and is skipped. *)

@@ -6,8 +6,10 @@
     the dispatch so the view-generation algorithm is type-agnostic.
 
     A column is featurized once ({!column}) and then trained and
-    classified many times by row index: a text cell's q-grams are
-    tokenized and interned once, not once per train/test round. *)
+    classified many times by row index: a text cell's features are its
+    string's q-gram ids in a {!Textsim.Coded} column, which tokenizes
+    each distinct string once, not once per cell or per train/test
+    round. *)
 
 type feature =
   | Text of string
@@ -15,12 +17,15 @@ type feature =
   | Missing
 
 type column
-(** The featurized cells of one column: text as its positional q-gram
-    ids in a {!Textsim.Gram_dict} built from the column's own grams,
-    numbers as floats. *)
+(** The featurized cells of one column: text as its string's positional
+    3-gram ids in a coded column's gram dictionary, numbers as
+    floats. *)
 
-val column : ?q:int -> feature array -> column
-(** [q] is the gram size for text (default 3). *)
+val column : (unit -> Textsim.Coded.t) -> feature array -> column
+(** [column coded features]: [coded ()] codes the column the features
+    come from, so that the string of every [Text s] cell's row is [s]
+    (the codes of other rows are not read).  It is called, and its
+    grams tokenized, only if some cell is text. *)
 
 type t
 
@@ -35,6 +40,10 @@ val trained : t -> bool
 (** True once at least one (non-missing) example has been seen. *)
 
 val labels : t -> string list
+
+val log_posteriors : t -> int -> (string * float) list
+(** The text sub-classifier's {!Naive_bayes.log_posteriors} for a text
+    cell; [[]] for any other cell and for an external classifier. *)
 
 val classify : t -> int -> string option
 (** Predicted label of the cell at a row index.  Numbers may have been

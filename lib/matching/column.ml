@@ -16,6 +16,9 @@ type t = {
   (* when present, the column is a view over partition groups and its
      overlap artefacts come in its family's id space *)
   composed : composed option;
+  (* when present, the column is a whole base column and its text
+     artefacts are counted from its coded column *)
+  coded : (unit -> Textsim.Coded.t) option;
   mutable strings_memo : string array option;
   mutable floats_memo : float array option;
   mutable profile : Textsim.Profile.t option;
@@ -31,6 +34,7 @@ let make ?cache ?composed ~owner attribute values =
     values;
     cache;
     composed;
+    coded = None;
     strings_memo = None;
     floats_memo = None;
     profile = None;
@@ -40,20 +44,29 @@ let make ?cache ?composed ~owner attribute values =
   }
 
 let of_table ?cache table attr_name =
+  let coded =
+    match cache with
+    | Some c -> fun () -> Profile_cache.coded c ~table ~attr:attr_name
+    | None ->
+      let coded = lazy (Profile_cache.code table attr_name) in
+      fun () -> Lazy.force coded
+  in
   let cache =
     (* registered under the full row range, so views selecting every
        row share the base column's artefacts *)
     Option.map
       (fun c ->
-        ( c,
-          Profile_cache.key ~table:(Table.name table) ~attr:attr_name
-            ~indices:(Array.init (Table.row_count table) Fun.id) ))
+        let rows = Table.row_count table in
+        (c, Profile_cache.full_key c ~table:(Table.name table) ~attr:attr_name ~rows))
       cache
   in
-  make ?cache
-    ~owner:(Table.name table)
-    (Schema.attribute (Table.schema table) attr_name)
-    (Table.column table attr_name)
+  {
+    (make ?cache ~owner:(Table.name table)
+       (Schema.attribute (Table.schema table) attr_name)
+       (Table.column table attr_name))
+    with
+    coded = Some coded;
+  }
 
 let owner t = t.owner
 let attribute t = t.attribute
@@ -106,13 +119,19 @@ let floats t =
    reads. *)
 let words_attr attr = attr ^ "\twords"
 
-let word_list strs = List.concat_map Textsim.Tokenize.words strs |> List.sort_uniq String.compare
+(* The strings of ascending ids of a dictionary. *)
+let strings_of dict ids =
+  Array.fold_right (fun id acc -> Textsim.Gram_dict.gram dict id :: acc) ids []
 
 let profile t =
   match t.profile with
   | Some p -> p
   | None ->
-    let compute () = Textsim.Profile.of_strings_array (strings t) in
+    let compute () =
+      match t.coded with
+      | Some coded -> Textsim.Coded.profile (coded ())
+      | None -> Textsim.Profile.of_strings_array (strings t)
+    in
     let p =
       match t.cache with
       | Some (c, key) -> Profile_cache.profile c key compute
@@ -138,7 +157,13 @@ let distinct_strings t =
   match t.distinct with
   | Some d -> d
   | None ->
-    let compute () = strings t |> Array.to_list |> List.sort_uniq String.compare in
+    let compute () =
+      match t.coded with
+      | Some coded ->
+        let c = coded () in
+        strings_of (Textsim.Coded.values c) (Textsim.Coded.value_ids c)
+      | None -> strings t |> Array.to_list |> List.sort_uniq String.compare
+    in
     let d =
       match t.cache with
       | Some (c, key) -> Profile_cache.distinct c key compute
@@ -151,7 +176,16 @@ let words t =
   match t.words_memo with
   | Some w -> w
   | None ->
-    let compute () = word_list (strings t |> Array.to_list) in
+    let compute () =
+      match t.coded with
+      | Some coded ->
+        let c = coded () in
+        strings_of (Textsim.Coded.words c) (Textsim.Coded.word_ids c)
+      | None ->
+        Array.to_list (strings t)
+        |> List.concat_map Textsim.Tokenize.words
+        |> List.sort_uniq String.compare
+    in
     let w =
       match t.cache with
       | Some (c, (tbl, attr, subset)) ->
@@ -166,44 +200,25 @@ let words t =
 (* A view whose condition selects values of one categorical attribute
    holds exactly the rows of those values' partition groups, so its
    gram counts, distinct set and word set are unions of per-group
-   artefacts.  The families below pack the groups' artefacts once per
-   (table, condition attribute, attribute), built through the exact
-   per-group keys whether {!warm_families} or a view's first lookup
-   gets there first, and shared by every view over the attribute. *)
-
-let sub_strings base attr indices =
-  let rows = Table.rows base in
-  let col = Schema.index_of (Table.schema base) attr in
-  Array.to_list indices
-  |> List.filter_map (fun i ->
-         let v = rows.(i).(col) in
-         if Value.is_null v then None else Some (Value.to_string v))
-
-let profile_family c base cond_attr attr =
-  Profile_cache.family c ~table:base ~cond_attr ~attr ~profile_of:(fun indices ->
-      Textsim.Profile.of_strings (sub_strings base attr indices))
-
-let distinct_family c base cond_attr attr =
-  Profile_cache.set_family c ~table:base ~cond_attr ~attr ~set_of:(fun indices ->
-      sub_strings base attr indices |> List.sort_uniq String.compare)
-
-let words_family c base cond_attr attr =
-  Profile_cache.set_family c ~table:base ~cond_attr ~attr:(words_attr attr)
-    ~set_of:(fun indices -> word_list (sub_strings base attr indices))
-
-(* The id-space artefacts of one view column, each derived on first use
-   from its family and the view's group slots; never cached beyond the
-   column, never stored. *)
+   artefacts: the families of (table, condition attribute, attribute),
+   built on first use from the attribute's coded column and shared by
+   every view over the condition attribute.  The id-space artefacts of
+   one view column are each derived on first use from its family and
+   the view's group slots; never cached beyond the column, never
+   stored. *)
 let compose c base cond_attr attr slots =
   let over family compose =
     lazy
-      (let fam = family c base cond_attr attr in
+      (let fam = family () in
        (fam, compose fam (Lazy.force slots)))
   in
+  let sets kind () = Profile_cache.set_family c ~table:base ~cond_attr ~attr kind in
   {
-    grams = over profile_family Profile_cache.compose_counts;
-    word_ids = over words_family Profile_cache.compose_ids;
-    value_ids = over distinct_family Profile_cache.compose_ids;
+    grams =
+      over (fun () -> Profile_cache.family c ~table:base ~cond_attr ~attr)
+        Profile_cache.compose_counts;
+    word_ids = over (sets Profile_cache.Words) Profile_cache.compose_ids;
+    value_ids = over (sets Profile_cache.Values) Profile_cache.compose_ids;
   }
 
 let view_columns ?cache view =
@@ -255,68 +270,6 @@ let view_columns ?cache view =
       c
 
 let of_view ?cache view attr_name = view_columns ?cache view attr_name
-
-(* Build-time warm of the partition families: for every categorical
-   condition attribute (under the default detection parameters — the
-   same predicate NaiveInfer enumerates view families over) and every
-   other textual attribute, force the columnar family pack plus the
-   distinct and word set families.  View scoring then composes from
-   warm artefacts instead of first-touch tokenising inside the scoring
-   phase — the same "freeze after build" treatment {!warm} gives base
-   columns.  Purely a warming pass: every artefact is built through the
-   exact cache keys the lazy paths use, so a caller that skips it (or
-   infers with non-default categorical parameters) computes the
-   identical values lazily instead. *)
-let warm_families ?pool cache table =
-  let schema = Table.schema table in
-  let cond_attrs = Categorical.categorical_attributes table in
-  let pairs =
-    List.concat_map
-      (fun cond_attr ->
-        List.filter_map
-          (fun attr ->
-            if attr = cond_attr then None
-            else
-              let a = Schema.attribute schema attr in
-              if Attribute.is_textual a then Some (cond_attr, attr, `Textual)
-              else if a.Attribute.ty = Value.Tint then Some (cond_attr, attr, `Int)
-              else None)
-          (Schema.attribute_names schema))
-      cond_attrs
-  in
-  (* Every family a default-suite matcher reads is warmed — textual
-     attrs get the profile pack plus the distinct and word set
-     families, int attrs (scored by the value-overlap matcher) the
-     distinct set family.  Completeness matters beyond speed: each
-     family is one unit's, so its per-group lookups run exactly once
-     here; a family first built lazily by concurrent views would
-     otherwise be built once per racing worker, nested lookups and all,
-     and the lookup counts would depend on the jobs count. *)
-  let warm_pair (cond_attr, attr, kind) =
-    (* Best-effort, per family: a failure (e.g. an injected fault) is
-       dropped.  Nothing is memoised on exception and fault decisions
-       are keyed to the looked-up artefact, not the call site, so the
-       owning unit's own lookup later re-raises the identical error and
-       quarantines exactly as if the warm had never run. *)
-    let attempt build = try ignore (build cache table cond_attr attr) with _ -> () in
-    (match kind with
-    | `Int -> ()
-    | `Textual ->
-      attempt profile_family;
-      attempt words_family);
-    attempt distinct_family
-  in
-  (* Every pair of a condition attribute shares its partition: build
-     each one here, once, before the fan-out.  Racing first touches from
-     several workers would otherwise build it twice, making
-     [cache.partition.builds] depend on the jobs count.  Best-effort,
-     like [warm_pair]. *)
-  List.iter
-    (fun cond_attr -> try ignore (Profile_cache.partition cache ~table ~cond_attr) with _ -> ())
-    cond_attrs;
-  match pool with
-  | Some pool -> ignore (Runtime.Pool.map_list pool warm_pair pairs)
-  | None -> List.iter warm_pair pairs
 
 let warm t =
   let a = t.attribute in

@@ -2,7 +2,10 @@
     the bag of sample values.  Expensive derived artefacts (q-gram
     profile, numeric summary, distinct set) are computed lazily and
     cached, so re-scoring the same column across many matchers or view
-    evaluations costs one pass. *)
+    evaluations costs one pass.  A base column ({!of_table}) counts its
+    text artefacts from its coded column ({!Profile_cache.coded}), so
+    each distinct value is tokenized once; a view column scanned by
+    rows tokenizes its own values. *)
 
 open Relational
 
@@ -29,8 +32,11 @@ val make :
   Value.t array ->
   t
 
-(** With [cache], artefacts are shared under the full row-index range
-    of the table, so a view selecting every row hits them. *)
+(** The column's text artefacts are counted from its coded column:
+    with [cache], {!Profile_cache.coded}'s, shared by every column and
+    family over the attribute; without, one coded column of its own.
+    With [cache], artefacts are also shared under the full row-index
+    range of the table, so a view selecting every row hits them. *)
 val of_table : ?cache:Profile_cache.t -> Table.t -> string -> t
 
 (** With [cache], the lazy artefacts are looked up under
@@ -41,11 +47,11 @@ val of_table : ?cache:Profile_cache.t -> Table.t -> string -> t
     condition selects values of one other attribute, the column is
     {e composed} instead: it carries {!composed} artefacts — unions of
     that attribute's family rows ({!Profile_cache.family},
-    {!Profile_cache.set_family}, shared across all views over it) — and
-    no cache key, so none of its artefacts is looked up, kept in the
-    cache or stored, and the view's row indices are never hashed for
-    it.  Its {!profile}, {!summary} and sets, when a matcher asks, are
-    computed from its values. *)
+    {!Profile_cache.set_family}, built on first use and shared across
+    all views over it) — and no cache key, so none of its artefacts is
+    looked up, kept in the cache or stored, and the view's row indices
+    are never hashed for it.  Its {!profile}, {!summary} and sets, when
+    a matcher asks, are computed from its values. *)
 val of_view : ?cache:Profile_cache.t -> View.t -> string -> t
 
 val view_columns : ?cache:Profile_cache.t -> View.t -> string -> t
@@ -95,24 +101,6 @@ val words_attr : string -> string
     through the distinct-set memo/store ([attr ^ "\twords"]; a tab
     never occurs in a schema or CSV attribute name).  Delta maintenance
     seeds word sets under exactly this key. *)
-
-val warm_families : ?pool:Runtime.Pool.t -> Profile_cache.t -> Table.t -> unit
-(** Build-time warm of the partition families: for every categorical
-    condition attribute of the table (default
-    {!Relational.Categorical} parameters — the predicate view inference
-    enumerates families over), force the columnar family pack and the
-    distinct/word set families of every other textual attribute, and
-    the distinct set family of every int attribute, through the shared
-    cache.  View scoring then composes from warm families instead of
-    first-touch tokenising per group inside the scoring phase.  Purely
-    a warming pass — every artefact goes through the exact keys the
-    lazy paths use, so skipping it (or inferring with non-default
-    categorical parameters) only moves the identical computation later.
-    Each pair warms best-effort: a failure (e.g. an injected fault) is
-    swallowed and re-raises on the owning unit's own lookup instead.
-    With [pool], the (condition, attribute) pairs warm pool-parallel;
-    must then be called from the pool's own domain ({!Runtime.Pool} is
-    not re-entrant). *)
 
 val warm : t -> unit
 (** Force the artefacts a matcher of this column's type could ask for

@@ -3,7 +3,6 @@ type key = string * string * string
 type partition = {
   part_values : Relational.Value.t array;
   part_indices : int array array;
-  part_digests : string array;
 }
 
 (* Per-model translations of target columns into one family's
@@ -28,20 +27,24 @@ type set_family = {
   set_targets : target_set translations;
 }
 
+type set_kind = Values | Words
+
 type view_counts = { vc_ids : int array; vc_counts : int array; vc_total : int; vc_norm : float }
 
 type t = {
   profiles : (key, Textsim.Profile.t) Runtime.Memo.t;
   summaries : (key, Stats.Descriptive.summary) Runtime.Memo.t;
   distincts : (key, string list) Runtime.Memo.t;
+  coded : (string * string, Textsim.Coded.t) Runtime.Memo.t;
   partitions : (string * string, partition) Runtime.Memo.t;
   families : (string * string * string, family) Runtime.Memo.t;
-  set_families : (string * string * string, set_family) Runtime.Memo.t;
+  set_families : (string * string * string * set_kind, set_family) Runtime.Memo.t;
   mutable partitioning : bool;
   mutable store : Store.t option;
   digests : (string, string) Hashtbl.t;
   digests_lock : Mutex.t;
   builds : int Atomic.t;
+  full_range : (int * string) option Atomic.t;
 }
 
 let create () =
@@ -49,6 +52,7 @@ let create () =
     profiles = Runtime.Memo.create ();
     summaries = Runtime.Memo.create ();
     distincts = Runtime.Memo.create ();
+    coded = Runtime.Memo.create ();
     partitions = Runtime.Memo.create ();
     families = Runtime.Memo.create ();
     set_families = Runtime.Memo.create ();
@@ -57,6 +61,7 @@ let create () =
     digests = Hashtbl.create 8;
     digests_lock = Mutex.create ();
     builds = Atomic.make 0;
+    full_range = Atomic.make None;
   }
 
 let set_partitioning t on = t.partitioning <- on
@@ -156,14 +161,26 @@ let subset_digest indices =
 
 let key ~table ~attr ~indices = (table, attr, subset_digest indices)
 
+(* Every base column of a table is keyed by the same whole-range digest,
+   so the last one taken is kept: a table's columns digest its rows
+   once, not once each.  Two domains racing here store equal pairs. *)
+let full_key t ~table ~attr ~rows =
+  let digest =
+    match Atomic.get t.full_range with
+    | Some (n, d) when n = rows -> d
+    | Some _ | None ->
+      let d = subset_digest (Array.init rows Fun.id) in
+      Atomic.set t.full_range (Some (rows, d));
+      d
+  in
+  (table, attr, digest)
+
 (* Partition of a table's row indices by the values of one (condition)
    attribute: groups are keyed by distinct non-null values under
    [Value.compare] — which treats [Int n] and [Float n.] as equal, like
    condition evaluation does — and each group's indices stay ascending,
    so a singleton group is index-for-index the row set of the
-   corresponding [Eq] view.  Each group's {!subset_digest} is taken here,
-   once: every per-group cache key (family packs, set families, delta
-   seeding) reads it instead of re-hashing the indices. *)
+   corresponding [Eq] view. *)
 let partition t ~table ~cond_attr =
   Runtime.Memo.find_or_add t.partitions (Relational.Table.name table, cond_attr)
     (fun () ->
@@ -197,12 +214,7 @@ let partition t ~table ~cond_attr =
         sorted;
       flush ();
       let groups = Array.of_list (List.rev !groups) in
-      let part_indices = Array.map snd groups in
-      {
-        part_values = Array.map fst groups;
-        part_indices;
-        part_digests = Array.map subset_digest part_indices;
-      })
+      { part_values = Array.map fst groups; part_indices = Array.map snd groups })
 
 let partition_slot p v =
   let lo = ref 0 and hi = ref (Array.length p.part_values - 1) in
@@ -229,87 +241,72 @@ let translated x key build =
         Hashtbl.add x.xtbl key v;
         v)
 
+(* The coded column of one (table, attribute): each cell coded by its
+   display string, the way [Column.strings] renders it (nulls get no
+   code).  Memoised per model, never stored; every base artefact and
+   partition family of the attribute is counted from it. *)
+let code table attr =
+  Textsim.Coded.make
+    (Array.map
+       (fun v -> if Relational.Value.is_null v then None else Some (Relational.Value.to_string v))
+       (Relational.Table.column table attr))
+
+let coded t ~table ~attr =
+  Runtime.Memo.find_or_add t.coded (Relational.Table.name table, attr) (fun () ->
+      let c = code table attr in
+      if !Obs.Recorder.enabled then begin
+        Obs.Metrics.incr "cache.coded.builds";
+        Obs.Metrics.add "cache.coded.values" (Textsim.Coded.size c)
+      end;
+      c)
+
+let drop_coded t = Runtime.Memo.clear t.coded
+
 (* One columnar "family pack" per (table, condition attribute, scored
-   attribute): the per-group profiles of the partition — computed (or
-   store-loaded) through {!profile} under the per-group keys
-   [(table, attr, group digest)], so the store sees the same artefacts
-   a row re-scan of each group would register — interned against one
-   family dictionary (the union of the groups' grams) and packed into a
-   flat CSR arena, one id-sorted row per group.  A view over k of the
-   family's values is then integer count addition in id (= gram) order
+   attribute): each partition group's gram counts over the attribute's
+   coded column, one id-sorted CSR row per group in the column's gram
+   dictionary.  The dictionary's ids follow gram order, so a view over
+   k of the family's values is integer count addition in gram order
    over arena rows ({!compose_counts}) — no hashtable, no string.  The
-   pack is a pure function of the per-group profiles, so it is derived,
-   never persisted. *)
-let family t ~table ~cond_attr ~attr ~profile_of =
-  let tname = Relational.Table.name table in
-  Runtime.Memo.find_or_add t.families (tname, cond_attr, attr) (fun () ->
+   pack is derived from the coded column and the partition, and never
+   persisted. *)
+let family t ~table ~cond_attr ~attr =
+  Runtime.Memo.find_or_add t.families (Relational.Table.name table, cond_attr, attr) (fun () ->
       let part = partition t ~table ~cond_attr in
-      let groups = part.part_indices in
-      let profiles =
-        Array.mapi
-          (fun g indices ->
-            profile t (tname, attr, part.part_digests.(g)) (fun () -> profile_of indices))
-          groups
-      in
-      let grams =
-        Array.fold_left
-          (fun acc p ->
-            Array.fold_left (fun acc (g, _) -> g :: acc) acc (Textsim.Profile.counts p))
-          [] profiles
-      in
-      let fam_dict = Textsim.Gram_dict.of_grams grams in
-      (* Rows come from a pure string lookup, never from
-         [Profile.intern]: the group profiles are shared memo entries
-         that other domains may intern against the kernel dictionary at
-         any moment.  Every gram is in [fam_dict] by construction, and
-         the gram-sorted counts map to ascending ids (the dictionary
-         preserves gram order). *)
-      let rows =
-        Array.map
-          (fun p ->
-            let cs = Textsim.Profile.counts p in
-            let n = Array.length cs in
-            let ids = Array.make n 0 in
-            let counts = Array.make n 0 in
-            Array.iteri
-              (fun k (g, c) ->
-                match Textsim.Gram_dict.find fam_dict g with
-                | Some id ->
-                  ids.(k) <- id;
-                  counts.(k) <- c
-                | None -> assert false)
-              cs;
-            (ids, counts))
-          profiles
-      in
+      let col = coded t ~table ~attr in
+      let rows = Array.map (fun rows -> Textsim.Coded.gram_counts ~rows col) part.part_indices in
       if !Obs.Recorder.enabled then begin
         Obs.Metrics.incr "cache.family.builds";
-        Obs.Metrics.add "cache.family.groups" (Array.length groups)
+        Obs.Metrics.add "cache.family.groups" (Array.length rows)
       end;
-      { fam_dict; fam_rows = Textsim.Csr.pack_ints rows; fam_targets = translations () })
+      {
+        fam_dict = Textsim.Coded.grams col;
+        fam_rows = Textsim.Csr.pack_ints rows;
+        fam_targets = translations ();
+      })
 
 (* The set counterpart of a family pack, per (table, condition
-   attribute, set key): the per-group sorted string sets — fetched
-   through {!distinct} under the same per-group keys — interned against
-   one sorted dictionary of their union.  Dictionary ids follow
-   [String.compare] order, so a union of id rows is a sorted-unique
-   string union in id form. *)
-let set_family t ~table ~cond_attr ~attr ~set_of =
-  let tname = Relational.Table.name table in
-  Runtime.Memo.find_or_add t.set_families (tname, cond_attr, attr) (fun () ->
+   attribute, attribute, kind): each group's distinct values or words
+   as ascending ids in the coded column's value or word dictionary,
+   whose ids follow [String.compare] order, so a union of id rows is a
+   sorted-unique string union in id form. *)
+let set_family t ~table ~cond_attr ~attr kind =
+  Runtime.Memo.find_or_add t.set_families
+    (Relational.Table.name table, cond_attr, attr, kind)
+    (fun () ->
       let part = partition t ~table ~cond_attr in
-      let groups =
-        Array.mapi
-          (fun g indices ->
-            distinct t (tname, attr, part.part_digests.(g)) (fun () -> set_of indices))
-          part.part_indices
+      let col = coded t ~table ~attr in
+      let set_dict, ids_of =
+        match kind with
+        | Values -> (Textsim.Coded.values col, Textsim.Coded.value_ids)
+        | Words -> (Textsim.Coded.words col, Textsim.Coded.word_ids)
       in
-      let set_dict, set_rows = Textsim.Gram_dict.of_docs groups in
-      (* a sorted set maps to ascending ids already; sorting also covers
-         a foreign (store-loaded) set that is not *)
-      Array.iter (Array.sort Int.compare) set_rows;
       if !Obs.Recorder.enabled then Obs.Metrics.incr "cache.set_family.builds";
-      { set_dict; set_rows; set_targets = translations () })
+      {
+        set_dict;
+        set_rows = Array.map (fun rows -> ids_of ~rows col) part.part_indices;
+        set_targets = translations ();
+      })
 
 (* One accumulator per domain, shared by every composition that domain
    runs: it grows to the largest family vocabulary seen and holds only

@@ -1,39 +1,43 @@
 (** Shared cache of per-column derived artefacts (q-gram profile,
     numeric summary, distinct set) keyed by
-    [(base table, attribute, row-subset digest)].
+    [(base table, attribute, row-subset digest)], and of the coded
+    columns and partition families they are counted from.
 
     A {!Column.t} caches its artefacts for its own lifetime; this cache
-    extends the reuse across columns — base columns, the groups of a
-    {!partition}, and candidate views scored by row re-scan whose
-    conditions select the same row subset.  Entries are keyed by a
-    digest of the exact row-index array, so equal subsets hit and any
-    differing subset misses; a hit returns an artefact computed from
-    the very same value sequence, keeping cached scores bit-identical
-    to freshly computed ones.
+    extends the reuse across columns — base columns, and candidate
+    views scored by row re-scan whose conditions select the same row
+    subset.  Entries are keyed by a digest of the exact row-index
+    array, so equal subsets hit and any differing subset misses; a hit
+    returns an artefact computed from the very same value sequence,
+    keeping cached scores bit-identical to freshly computed ones.
+
+    Each (table, attribute) is coded once ({!coded}): its cells coded
+    by display string, each distinct string tokenized once, and only
+    for the artefacts asked for.  Base-column artefacts and partition
+    families are integer counts over the coded column.
 
     Candidate views conditioned on one categorical attribute select
     unions of that attribute's {!partition} groups, and are scored in
-    the id space of a {e family}: the groups' artefacts — cache entries
-    under the group's key, its digest taken once when the partition is
-    built — interned against one sorted dictionary, a CSR {!family}
-    pack for gram counts and a {!set_family} for distinct and word
-    sets.  A view is a union of the family's integer rows, accumulated
-    in one per-domain scratch vector ({!compose_counts},
-    {!compose_ids}), and each target column is translated into the
-    family's dictionary once ({!target_counts}, {!target_set}).  A
-    view's own artefacts are derived this way on every scoring, never
-    cached or stored.
+    the id space of a {e family}: each group's artefact as ids in the
+    coded column's dictionary, a CSR {!family} pack for gram counts and
+    a {!set_family} for distinct and word sets.  A view is a union of
+    the family's integer rows, accumulated in one per-domain scratch
+    vector ({!compose_counts}, {!compose_ids}), and each target column
+    is translated into the family's dictionary once ({!target_counts},
+    {!target_set}).  A view's own artefacts are derived this way on
+    every scoring, never cached or stored.
 
-    Backed by {!Runtime.Memo}: safe to share across the worker domains
-    of a parallel run.
+    Backed by {!Runtime.Memo}, which computes each key once: safe to
+    share across the worker domains of a parallel run, with every
+    counter independent of the scheduling.
 
     Optionally backed a second level down by a persistent {!Store}
     (see {!attach_store}): an in-memory miss then consults the store
     before computing, and a computed artefact is written through, so a
-    later process run on the same inputs starts warm.  Families and
-    translations are never persisted; the store only ever sees
-    base-column, per-group and re-scanned view artefacts under their
-    [(table, attribute, digest)] keys. *)
+    later process run on the same inputs starts warm.  Coded columns,
+    partitions, families and translations are never persisted; the
+    store only ever sees base-column and re-scanned view artefacts
+    under their [(table, attribute, digest)] keys. *)
 
 type key = string * string * string
 (** [(base table name, attribute name, row-subset digest)]. *)
@@ -42,9 +46,6 @@ type partition = {
   part_values : Relational.Value.t array;
       (** distinct non-null values, ascending under [Value.compare] *)
   part_indices : int array array;  (** per value: matching row indices, ascending *)
-  part_digests : string array;
-      (** per value: {!subset_digest} of the group's indices, the third
-          component of every per-group cache key *)
 }
 (** Partition of a base table's rows by one condition attribute's values
     (see {!partition}). *)
@@ -63,23 +64,27 @@ type target_set
 
 type family = {
   fam_dict : Textsim.Gram_dict.t;
-      (** frozen over the union of the groups' grams *)
+      (** the coded column's gram dictionary ({!Textsim.Coded.grams}) *)
   fam_rows : Textsim.Csr.ints;
       (** one id-sorted (id, count) arena row per partition group *)
   fam_targets : target_counts translations;
 }
-(** Columnar pack of one partition's per-group profiles (see
+(** Columnar pack of one partition's per-group gram counts (see
     {!family}). *)
 
 type set_family = {
   set_dict : Textsim.Gram_dict.t;
-      (** frozen over the union of the groups' sets; ids follow
+      (** the coded column's value or word dictionary; ids follow
           [String.compare] order *)
   set_rows : int array array;  (** per partition group: its set's ids, ascending *)
   set_targets : target_set translations;
 }
-(** One partition's per-group distinct (or word) sets interned against
-    one sorted dictionary (see {!set_family}). *)
+(** One partition's per-group distinct (or word) sets as ids in one
+    sorted dictionary (see {!set_family}). *)
+
+type set_kind =
+  | Values  (** distinct display strings *)
+  | Words  (** distinct word tokens *)
 
 type view_counts = {
   vc_ids : int array;  (** family gram ids, ascending *)
@@ -94,14 +99,15 @@ type t = {
   profiles : (key, Textsim.Profile.t) Runtime.Memo.t;
   summaries : (key, Stats.Descriptive.summary) Runtime.Memo.t;
   distincts : (key, string list) Runtime.Memo.t;
+  coded : (string * string, Textsim.Coded.t) Runtime.Memo.t;
+      (** keyed by (table name, attribute) *)
   partitions : (string * string, partition) Runtime.Memo.t;
       (** keyed by (table name, condition attribute) *)
   families : (string * string * string, family) Runtime.Memo.t;
       (** keyed by (table name, condition attribute, scored attribute) *)
-  set_families : (string * string * string, set_family) Runtime.Memo.t;
-      (** keyed by (table name, condition attribute, set key): the
-          attribute name for distinct sets, its {!Column.words_attr}
-          marker for word sets *)
+  set_families : (string * string * string * set_kind, set_family) Runtime.Memo.t;
+      (** keyed by (table name, condition attribute, scored attribute,
+          kind) *)
   mutable partitioning : bool;
       (** when set, views over partition groups are scored in their
           family's id space instead of by row re-scan *)
@@ -109,6 +115,9 @@ type t = {
   digests : (string, string) Hashtbl.t;  (** table name -> {!Store.table_digest} *)
   digests_lock : Mutex.t;
   builds : int Atomic.t;  (** artefacts actually computed (no cache/store hit) *)
+  full_range : (int * string) option Atomic.t;
+      (** the last whole-range digest taken ({!full_key}), with its row
+          count *)
 }
 
 val create : unit -> t
@@ -150,9 +159,9 @@ val seed_distinct : t -> key -> string list -> unit
 
 val builds : t -> int
 (** Artefacts computed from raw values so far: lookups that missed both
-    the memo and the store.  Zero on a fully warm run.  Mirrored on the
-    [cache.profile.builds] metric (which, like the hit/miss split, can
-    shift by same-key compute races under parallel runs). *)
+    the memo and the store.  Zero on a fully warm run.  Coded columns,
+    partitions and families are not counted.  Mirrored on the
+    [cache.profile.builds] metric. *)
 
 val subset_digest : int array -> string
 (** Collision-resistant digest of a row-index array, computed over a
@@ -162,6 +171,11 @@ val subset_digest : int array -> string
 
 val key : table:string -> attr:string -> indices:int array -> key
 
+val full_key : t -> table:string -> attr:string -> rows:int -> key
+(** [key ~table ~attr ~indices:[|0; ...; rows - 1|]], the key of a whole
+    base column, with the digest of the last row count asked for kept
+    in [t], so the columns of one table digest their rows once. *)
+
 val set_partitioning : t -> bool -> unit
 (** Enable scoring views over partition groups in their family's id
     space (off by default; {!Standard_match.build} switches it on
@@ -169,17 +183,31 @@ val set_partitioning : t -> bool -> unit
 
 val partitioning : t -> bool
 
+val code : Relational.Table.t -> string -> Textsim.Coded.t
+(** The coded column of one attribute: each non-null cell coded by its
+    [Value.to_string] display string (the strings {!Column.strings}
+    lists), nothing tokenized yet.  The one builder of coded columns,
+    memoised by {!coded}. *)
+
+val coded : t -> table:Relational.Table.t -> attr:string -> Textsim.Coded.t
+(** {!code}, computed once per (table, attribute) and memoised for the
+    cache's lifetime; never stored.  Each build counts once on
+    [cache.coded.builds], and its distinct strings on
+    [cache.coded.values]. *)
+
+val drop_coded : t -> unit
+(** Forget the memoised coded columns (a later {!coded} codes afresh).
+    For a cache whose columns are warm and whose families are never
+    read: the artefacts stay, the coded columns they were counted from
+    are freed. *)
+
 val partition : t -> table:Relational.Table.t -> cond_attr:string -> partition
 (** Partition of [table]'s rows by the values of [cond_attr], computed
     once per (table, attribute) pair and memoised.  Grouping uses
     [Value.compare] — the same equality condition evaluation applies
     (so [Int 1] and [Float 1.] land in one group) — null rows belong to
     no group, and each group's indices are ascending: the group of [v]
-    is exactly [View.row_indices] of the [Eq (cond_attr, v)] view.
-    Each group's {!subset_digest} is computed here, once, and carried in
-    [part_digests]: the per-group key of [attr] is
-    [(table name, attr, part_digests.(slot))], equal to
-    [key ~table ~attr ~indices:part_indices.(slot)]. *)
+    is exactly [View.row_indices] of the [Eq (cond_attr, v)] view. *)
 
 val partition_slot : partition -> Relational.Value.t -> int option
 (** Index into [part_values]/[part_indices] of one value's group
@@ -189,34 +217,21 @@ val partition_indices : partition -> Relational.Value.t -> int array option
 (** Row indices of one value's group ([None] when the value never
     occurs non-null in the sample). *)
 
-val family :
-  t ->
-  table:Relational.Table.t ->
-  cond_attr:string ->
-  attr:string ->
-  profile_of:(int array -> Textsim.Profile.t) ->
-  family
+val family : t -> table:Relational.Table.t -> cond_attr:string -> attr:string -> family
 (** Columnar family pack for scoring [attr] over views conditioned on
-    [cond_attr]: the partition's per-group profiles — each obtained
-    through {!profile} under the group's key, so memo and store
-    artefacts are shared with any column over the same rows — interned
-    against one dictionary frozen over their gram union and packed into
-    a flat CSR arena, one id-sorted row per group.  Memoised per
-    (table, cond_attr, attr); derived, never persisted. *)
+    [cond_attr]: each partition group's q-gram counts
+    ({!Textsim.Coded.gram_counts} over the group's rows of [attr]'s
+    {!coded} column), packed into a flat CSR arena, one id-sorted row
+    per group, in the coded column's gram dictionary.  Memoised per
+    (table, cond_attr, attr) and built on first use; derived, never
+    persisted. *)
 
 val set_family :
-  t ->
-  table:Relational.Table.t ->
-  cond_attr:string ->
-  attr:string ->
-  set_of:(int array -> string list) ->
-  set_family
-(** The set counterpart of {!family}: the partition's per-group sets,
-    each obtained through {!distinct} under the group's key
-    [(table, attr, group digest)] ([attr] is the set key — an attribute
-    name, or its word-set marker), interned against one dictionary of
-    their union.  Memoised per (table, cond_attr, attr); derived, never
-    persisted. *)
+  t -> table:Relational.Table.t -> cond_attr:string -> attr:string -> set_kind -> set_family
+(** The set counterpart of {!family}: each partition group's distinct
+    values ({!Values}) or words ({!Words}) of [attr], as ascending ids
+    in the coded column's value or word dictionary.  Memoised per
+    (table, cond_attr, attr, kind); derived, never persisted. *)
 
 val compose_counts : family -> int list -> view_counts
 (** Merge-sum the rows of the given group slots, reading the arena in

@@ -27,6 +27,9 @@ type model = {
      and a target table with the same name can never collide on the
      in-memory (table, attr, subset) key *)
   tgt_cache : Profile_cache.t;
+  (* whether this build prepared the target itself: only then are the
+     target cache's lookups and builds this build's own *)
+  inline_target : bool;
   (* interned q-gram index over the textual target columns; None when
      the kernel is disabled or no textual target exists *)
   kernel : Score_kernel.t option;
@@ -74,8 +77,15 @@ let profile_cache m = m.cache
 let kernel_enabled m = m.kernel <> None
 let pairs_scored m = m.pairs_scored
 let pairs_pruned m = m.pairs_pruned
-let cache_stats m = (Profile_cache.hits m.cache, Profile_cache.misses m.cache)
-let profile_builds m = Profile_cache.builds m.cache + Profile_cache.builds m.tgt_cache
+let coded m table attr = Profile_cache.coded m.cache ~table ~attr
+
+(* The caches whose work this build did: the source cache, and the
+   target cache when the target was prepared inline.  A shared prepared
+   target's lookups and builds happened once, at preparation. *)
+let own_caches m = if m.inline_target then [ m.cache; m.tgt_cache ] else [ m.cache ]
+let sum_caches f m = List.fold_left (fun acc c -> acc + f c) 0 (own_caches m)
+let cache_stats m = (sum_caches Profile_cache.hits m, sum_caches Profile_cache.misses m)
+let profile_builds m = sum_caches Profile_cache.builds m
 
 (* Immutable prepared-target artefact: everything [build] derives from
    the target database alone — warmed columns, the (table, attr) index,
@@ -166,6 +176,10 @@ let prepare_target ?store ?(kernel = true) ?(fail_fast = false) ~target () =
                        textual))))
     end
   in
+  (* Target columns are warm and target families are never built: the
+     coded columns their artefacts were counted from would only hold
+     memory for the artefact's lifetime. *)
+  Profile_cache.drop_coded tgt_cache;
   {
     pt_target_db = target;
     pt_cols = target_cols;
@@ -246,13 +260,12 @@ let patch_prepared ?store prepared ~table ?digest ~patches () =
        [Column.of_table] registers, so warming the rebuilt columns hits
        the memo (and writes through to the store) instead of
        re-scanning rows. *)
-    let full_range = Array.init (Table.row_count table) Fun.id in
     List.iter
       (fun cp ->
-        let (tbl, attr, subset) =
-          Profile_cache.key ~table:table_name ~attr:cp.cp_attr ~indices:full_range
+        let ((tbl, attr, subset) as k) =
+          Profile_cache.full_key new_cache ~table:table_name ~attr:cp.cp_attr
+            ~rows:(Table.row_count table)
         in
-        let k = (tbl, attr, subset) in
         Option.iter (fun p -> Profile_cache.seed_profile new_cache k p) cp.cp_profile;
         Option.iter (fun d -> Profile_cache.seed_distinct new_cache k d) cp.cp_distinct;
         Option.iter
@@ -361,6 +374,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
      report (in their original column order, before any fan-out issue),
      so the report is identical whether the target was prepared by this
      very call or minutes earlier by another one. *)
+  let inline_target = prepared = None in
   let prepared =
     match prepared with
     | Some p -> p
@@ -389,15 +403,6 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
     |> Array.of_list
   in
   let pool = Runtime.Pool.get ~jobs in
-  (* Freeze the source-side partition families at build time, like
-     [prepare_target] freezes target artefacts: view scoring later
-     composes views over partition groups from these warm families
-     instead of first-touch tokenising inside the scoring phase.
-     Warming rides the kernel switch with id-space scoring itself; it
-     never changes a value, only when it is computed. *)
-  if kernel then
-    Obs.Trace.with_span "warm_families" (fun () ->
-        List.iter (Column.warm_families ~pool cache) (Database.tables source));
   let score_pair (src_tbl, src_attr) =
     let src_name = Table.name src_tbl in
     Robust.Fault.check Robust.Fault.Matcher_score ~key:(src_name ^ "." ^ src_attr);
@@ -562,6 +567,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
     raw;
     cache;
     tgt_cache;
+    inline_target;
     kernel = score_kernel;
   }
 

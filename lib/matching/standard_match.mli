@@ -190,14 +190,23 @@ val top_qgram_matches :
     pruning decides what {e not} to score, never a score's value.  [[]]
     for unknown or non-textual source attributes. *)
 
+val coded : model -> Table.t -> string -> Textsim.Coded.t
+(** The coded column of a source table's attribute, shared with every
+    base artefact and partition family this model counts from it
+    ({!Profile_cache.coded} on {!profile_cache}). *)
+
 val cache_stats : model -> int * int
-(** [(hits, misses)] of {!profile_cache} so far. *)
+(** [(hits, misses)] of this build's caches so far: the source cache,
+    plus the target cache when this build prepared the target itself
+    (no [prepared]).  A shared prepared target's lookups are its
+    preparation's, not any consuming build's. *)
 
 val profile_builds : model -> int
-(** Column artefacts computed from raw values so far, summed over the
-    source/view cache and the target-column cache: lookups that missed
-    both the in-memory caches and the persistent store (if any).  Zero
-    when a warm store answered everything. *)
+(** Column artefacts computed from raw values so far, over the same
+    caches as {!cache_stats}: lookups that missed both the in-memory
+    caches and the persistent store (if any).  Never more than the
+    misses; equal to them without a store; zero when a warm store
+    answered everything. *)
 
 val confidence : model -> src_table:string -> src_attr:string -> tgt_table:string ->
   tgt_attr:string -> float

@@ -1,12 +1,30 @@
 type ('k, 'v) t = {
   mutex : Mutex.t;
+  (* signalled whenever a pending key settles, stored or failed *)
+  settled : Condition.t;
   table : ('k, 'v) Hashtbl.t;
+  (* keys some domain is computing right now *)
+  pending : ('k, unit) Hashtbl.t;
   mutable hits : int;
   mutable misses : int;
 }
 
 let create ?(initial_size = 64) () =
-  { mutex = Mutex.create (); table = Hashtbl.create initial_size; hits = 0; misses = 0 }
+  {
+    mutex = Mutex.create ();
+    settled = Condition.create ();
+    table = Hashtbl.create initial_size;
+    pending = Hashtbl.create 8;
+    hits = 0;
+    misses = 0;
+  }
+
+let settle t key stored =
+  Mutex.lock t.mutex;
+  Hashtbl.remove t.pending key;
+  Option.iter (Hashtbl.replace t.table key) stored;
+  Condition.broadcast t.settled;
+  Mutex.unlock t.mutex
 
 let find_or_add t key compute =
   (* Injection site for the fault harness: the key's structural hash is
@@ -16,6 +34,12 @@ let find_or_add t key compute =
     ~key:(string_of_int (Hashtbl.hash key));
   if !Obs.Recorder.enabled then Obs.Metrics.incr "memo.lookups";
   Mutex.lock t.mutex;
+  (* A key another domain is computing is waited for, not computed
+     again; if that computation fails nothing is stored, and the first
+     waiter to wake computes it itself. *)
+  while Hashtbl.mem t.pending key do
+    Condition.wait t.settled t.mutex
+  done;
   match Hashtbl.find_opt t.table key with
   | Some v ->
     t.hits <- t.hits + 1;
@@ -24,19 +48,16 @@ let find_or_add t key compute =
     v
   | None ->
     t.misses <- t.misses + 1;
+    Hashtbl.replace t.pending key ();
     Mutex.unlock t.mutex;
     Obs.Metrics.incr "memo.misses";
-    let v = compute () in
-    Mutex.lock t.mutex;
-    let v =
-      match Hashtbl.find_opt t.table key with
-      | Some winner -> winner (* a racing domain inserted first; converge on its copy *)
-      | None ->
-        Hashtbl.add t.table key v;
-        v
-    in
-    Mutex.unlock t.mutex;
-    v
+    (match compute () with
+    | v ->
+      settle t key (Some v);
+      v
+    | exception e ->
+      settle t key None;
+      raise e)
 
 let length t =
   Mutex.lock t.mutex;

@@ -8,12 +8,17 @@
     canonical textual encoding instead (see
     {!Matching.Profile_cache.subset_digest} and [Store.address]).
 
-    Safe to share across domains.  [find_or_add] runs the compute
-    function {e outside} the lock, so concurrent misses on distinct
-    keys do not serialise; two domains racing on the {e same} key may
-    both compute, in which case the first insertion wins and both
-    callers return it — with a deterministic compute function every
-    caller observes the same value either way. *)
+    Safe to share across domains, and each key is computed once.
+    [find_or_add] runs the compute function {e outside} the lock, so
+    misses on distinct keys do not serialise.  A domain that misses a
+    key another domain is computing waits for that computation and
+    returns its value (counted as a hit).  A computation that raises
+    stores nothing: the exception goes to its caller, and each waiter
+    retries the lookup, the first to wake computing it afresh.
+
+    Waiting cannot deadlock while nested lookups (a compute function
+    looking up other keys) follow an acyclic key order and no compute
+    function blocks on {!Pool}, whose workers may be the waiters. *)
 
 type ('k, 'v) t
 
@@ -27,7 +32,9 @@ val hits : ('k, 'v) t -> int
 (** Lookups answered from the table. *)
 
 val misses : ('k, 'v) t -> int
-(** Lookups that had to compute. *)
+(** Lookups that had to compute: one per computation, so with a compute
+    function that never raises, [misses] is the number of keys ever
+    stored (until {!clear}). *)
 
 type stats = { stat_hits : int; stat_misses : int; stat_entries : int }
 
@@ -44,6 +51,4 @@ val clear : ('k, 'v) t -> unit
 
     When the recorder ({!Obs.Recorder.enabled}) is on, every lookup
     also feeds the global [memo.lookups] / [memo.hits] / [memo.misses]
-    metrics; [memo.lookups] is jobs-invariant, while the hit/miss
-    split can shift by the (rare) same-key compute races described
-    above. *)
+    metrics. *)

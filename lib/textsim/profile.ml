@@ -104,6 +104,9 @@ let sorted_counts t =
 
 let counts t = sorted_counts t
 
+(* Counts that arrive gram-sorted (store shards, coded columns) are
+   kept as the sorted view, so the first fold does not sort them again;
+   the view is the one [sorted_counts] would build. *)
 let of_counts ~q pairs =
   let t = create q in
   Array.iter
@@ -111,6 +114,11 @@ let of_counts ~q pairs =
       Hashtbl.replace t.counts gram n;
       t.total <- t.total + n)
     pairs;
+  let n = Array.length pairs in
+  let rec ascending i =
+    i >= n || (String.compare (fst pairs.(i - 1)) (fst pairs.(i)) < 0 && ascending (i + 1))
+  in
+  if ascending 1 then t.sorted <- Some (Array.copy pairs);
   t
 
 (* Same fold, in the same gram-sorted order, as the historical per-call

@@ -184,7 +184,7 @@ let test_core_validate_apply () =
 (* --- maintained per-table state vs cold scans ---------------------------- *)
 
 let check_profiles_cold msg live cold_table =
-  let cold = Delta.Profiles.create ~cond_attrs:[ "cat" ] cold_table in
+  let cold = Delta.Profiles.create cold_table in
   List.iter
     (fun attr ->
       (match (Delta.Profiles.profile live attr, Delta.Profiles.profile cold attr) with
@@ -206,34 +206,10 @@ let check_profiles_cold msg live cold_table =
         Alcotest.(check bool) (Printf.sprintf "%s: summary %s bit-identical" msg attr) true (a = b)
       | None, None -> ()
       | _ -> Alcotest.failf "%s: summary presence differs for %s" msg attr)
-    [ "id"; "name"; "cat"; "price" ];
-  (* partition profiles, for every condition value in the cold table *)
-  List.iter
-    (fun v ->
-      List.iter
-        (fun attr ->
-          match
-            ( Delta.Profiles.partition_profile live ~cond_attr:"cat" ~value:v ~attr,
-              Delta.Profiles.partition_profile cold ~cond_attr:"cat" ~value:v ~attr )
-          with
-          | Some a, Some b ->
-            check_profile_eq
-              (Printf.sprintf "%s: partition %s/%s" msg (Value.to_string v) attr)
-              a b
-          | None, None -> ()
-          | Some a, None ->
-            (* a value whose last live row died keeps an emptied
-               maintained group; it must describe nothing *)
-            Alcotest.(check int)
-              (Printf.sprintf "%s: dead partition %s/%s emptied" msg (Value.to_string v) attr)
-              0 (Textsim.Profile.total a)
-          | None, Some _ ->
-            Alcotest.failf "%s: cold has a partition the live state lost" msg)
-        [ "name"; "cat" ])
-    (Table.distinct_values cold_table "cat")
+    [ "id"; "name"; "cat"; "price" ]
 
 let test_profiles_match_cold () =
-  let live = Delta.Profiles.create ~cond_attrs:[ "cat" ] (syn_table ()) in
+  let live = Delta.Profiles.create (syn_table ()) in
   let d1 =
     Delta.make ~table:"S"
       ~appends:
@@ -255,19 +231,15 @@ let test_profiles_match_cold () =
     (Store.table_digest (Delta.Profiles.table live))
     (Delta.Profiles.digest live)
 
-(* A condition value whose every row is deleted: the maintained group
-   survives (emptied), the cold partition has no such group, and cache
-   seeding must skip it rather than seed a phantom subset. *)
+(* A condition value whose every row is deleted leaves no partition
+   group over the maintained table, so no family counts a phantom
+   group for it. *)
 let test_profiles_delete_only_value () =
-  let live = Delta.Profiles.create ~cond_attrs:[ "cat" ] (syn_table ()) in
-  (* rows 2 and 8 (post-d1 indexing) are the only "veg" rows *)
+  let live = Delta.Profiles.create (syn_table ()) in
+  (* rows 2 and 3 are the only "veg" rows *)
   let d = Delta.make ~table:"S" ~appends:[||] ~deletes:[| 2; 3 |] in
   Delta.Profiles.apply live d;
-  (match Delta.Profiles.partition_profile live ~cond_attr:"cat" ~value:(Value.String "veg") ~attr:"name" with
-  | Some p -> Alcotest.(check int) "emptied group total" 0 (Textsim.Profile.total p)
-  | None -> ());
   let cache = Matching.Profile_cache.create () in
-  Delta.Profiles.seed live cache;
   let part =
     Matching.Profile_cache.partition cache ~table:(Delta.Profiles.table live) ~cond_attr:"cat"
   in

@@ -63,6 +63,45 @@ let test_matcher_score_faults () = check_site_differential Robust.Fault.Matcher_
 let test_pool_task_faults () = check_site_differential Robust.Fault.Pool_task
 let test_memo_faults () = check_site_differential Robust.Fault.Memo_lookup
 
+(* SrcClassInfer reads each h column's coded column through the model's
+   memo.  A fault at that lookup must not cost inference the table: h is
+   coded by inference itself, and the views are those of an unfaulted
+   run. *)
+let test_memo_fault_spares_inference () =
+  let params = { Workload.Retail.default_params with rows = 120; target_rows = 60; seed = 42 } in
+  let source = Workload.Retail.source params in
+  let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
+  let inventory = Relational.Database.table source Workload.Retail.source_table_name in
+  let config = Ctxmatch.Config.default in
+  let model = Matching.Standard_match.build ~source ~target () in
+  let matches =
+    Matching.Standard_match.matches_from model ~src_table:(Relational.Table.name inventory)
+      ~tau:config.Ctxmatch.Config.tau
+  in
+  let infer () =
+    Ctxmatch.Src_class_infer.infer.Ctxmatch.Infer.infer
+      ~coded:(Matching.Standard_match.coded model inventory)
+      (Stats.Rng.create 1) config ~source_table:inventory ~matches
+  in
+  let fp families =
+    List.map
+      (fun (f : Relational.View.family) ->
+        Printf.sprintf "%s %h [%s]" f.attribute f.quality
+          (String.concat "; "
+             (List.map
+                (fun v -> Relational.Condition.to_string (Relational.View.condition v))
+                f.views)))
+      families
+  in
+  let clean = infer () in
+  Alcotest.(check bool) "views were inferred" true (clean <> []);
+  let faulted =
+    Robust.Fault.with_armed
+      [ { Robust.Fault.site = Robust.Fault.Memo_lookup; rate = 1.0; seed = 1 } ]
+      infer
+  in
+  Alcotest.(check (list string)) "every memo lookup faulted: same views" (fp clean) (fp faulted)
+
 (* Arming at rate 0.0 must be a perfect no-op: byte-identical result,
    empty issue list. *)
 let test_rate_zero_is_clean () =
@@ -363,5 +402,6 @@ let () =
           Alcotest.test_case "matcher-score differential" `Slow test_matcher_score_faults;
           Alcotest.test_case "pool-task differential" `Slow test_pool_task_faults;
           Alcotest.test_case "memo-lookup differential" `Slow test_memo_faults;
+          Alcotest.test_case "memo fault spares inference" `Quick test_memo_fault_spares_inference;
         ] );
     ]

@@ -301,6 +301,74 @@ let test_view_column_paths () =
   Alcotest.(check bool) "kernel off: columns scanned" true
     (count legacy "match.view_columns.scanned" > 0)
 
+(* --- artefacts built on first use ---------------------------------------- *)
+
+(* Whether [key] is in [memo]: a lookup whose computation raises stores
+   nothing. *)
+let present memo key =
+  match Runtime.Memo.find_or_add memo key (fun () -> raise Exit) with
+  | _ -> true
+  | exception Exit -> false
+
+(* On the benchmark's one-shot shape (Retail 800 rows, gamma 4,
+   SrcClassInfer) every candidate view selects on ItemType, so
+   families are built over ItemType only and StockStatus is never
+   partitioned; and [cache.coded.values] counts each coded column's
+   distinct non-null strings once. *)
+let test_first_use_artefacts () =
+  let open Relational in
+  let params = { Workload.Retail.rows = 800; target_rows = 400; gamma = 4; seed = 1 } in
+  let source = Workload.Retail.source params in
+  let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
+  let config = Ctxmatch.Config.default in
+  let prepared = Matching.Standard_match.prepare_target ~target () in
+  let inventory = Database.table source Workload.Retail.source_table_name in
+  let src_table = Table.name inventory in
+  let model, families, coded_values =
+    with_recorder @@ fun () ->
+    let model = Matching.Standard_match.build ~prepared ~source ~target () in
+    let m = Matching.Standard_match.matches_from model ~src_table ~tau:config.Ctxmatch.Config.tau in
+    let families =
+      Ctxmatch.Src_class_infer.infer.Ctxmatch.Infer.infer
+        ~coded:(Matching.Standard_match.coded model inventory)
+        (Stats.Rng.create 1) config ~source_table:inventory ~matches:m
+    in
+    List.iter
+      (fun view -> ignore (Matching.Standard_match.view_matches model view ~base_matches:m))
+      (Ctxmatch.Infer.views_of_families families);
+    let counters = (Obs.Metrics.snapshot ()).Obs.Metrics.counters in
+    (model, families, Option.value ~default:0 (List.assoc_opt "cache.coded.values" counters))
+  in
+  let item_type = Workload.Retail.item_type_attr and stock = Workload.Retail.stock_status_attr in
+  Alcotest.(check bool) "views were inferred" true (families <> []);
+  Alcotest.(check (list string)) "every family selects on ItemType" [ item_type ]
+    (List.sort_uniq String.compare (List.map (fun f -> f.View.attribute) families));
+  let cache = Matching.Standard_match.profile_cache model in
+  let attrs = Schema.attribute_names (Table.schema inventory) in
+  let family_over cond =
+    List.exists
+      (fun attr ->
+        present cache.Matching.Profile_cache.families (src_table, cond, attr)
+        || List.exists
+             (fun kind -> present cache.set_families (src_table, cond, attr, kind))
+             Matching.Profile_cache.[ Values; Words ])
+      attrs
+  in
+  Alcotest.(check bool) "families built over ItemType" true (family_over item_type);
+  Alcotest.(check bool) "no family built over StockStatus" false (family_over stock);
+  Alcotest.(check bool) "StockStatus never partitioned" false
+    (present cache.partitions (src_table, stock));
+  let distinct attr =
+    Array.to_list (Table.column inventory attr)
+    |> List.filter_map (fun v -> if Value.is_null v then None else Some (Value.to_string v))
+    |> List.sort_uniq String.compare |> List.length
+  in
+  let coded = List.filter (fun attr -> present cache.coded (src_table, attr)) attrs in
+  Alcotest.(check bool) "some columns coded" true (coded <> []);
+  Alcotest.(check int) "cache.coded.values = distinct strings of the coded columns"
+    (List.fold_left (fun n attr -> n + distinct attr) 0 coded)
+    coded_values
+
 (* --- exporters --------------------------------------------------------- *)
 
 let test_exporters_json () =
@@ -368,6 +436,7 @@ let () =
           Alcotest.test_case "spans nest across pool fan-out" `Quick test_span_nesting;
           Alcotest.test_case "counters independent of jobs" `Slow test_counters_jobs_invariant;
           Alcotest.test_case "view columns: composed vs scanned" `Slow test_view_column_paths;
+          Alcotest.test_case "artefacts built on first use" `Slow test_first_use_artefacts;
           Alcotest.test_case "exporters emit valid JSON" `Quick test_exporters_json;
           Alcotest.test_case "memo stats accessor" `Quick test_memo_stats;
           Alcotest.test_case "profile-cache stats accessor" `Quick test_profile_cache_stats;

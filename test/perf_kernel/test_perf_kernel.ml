@@ -343,13 +343,16 @@ let in_temp_dir f =
     (fun () -> f dir)
 
 (* Stored artefacts serialise by gram string, never by interner id, and
-   a kernel run stores no per-view artefact: it scores views in their
-   family's id space.  A store written by a kernel run therefore warms
-   a kernel run with zero recomputation, and a legacy run with exactly
-   its row-scanned view artefacts recomputed (48 here; base and
-   per-group artefacts all come from the store).  The legacy run writes
-   those through, so once it is flushed the store warms both modes with
-   zero recomputation. *)
+   a kernel run stores no per-view or per-group artefact: it scores
+   views in their family's id space, and counts families from coded
+   columns.  A store written by a kernel run therefore warms a kernel
+   run with zero recomputation, and a legacy run with exactly its
+   row-scanned view artefacts recomputed (base artefacts all come from
+   the store).  Here that is 96: 6 views, each scoring 3 textual
+   attributes (profile, distinct and word set), 3 int attributes
+   (summary and distinct set) and 1 float attribute (summary).  The
+   legacy run writes those through, so once it is flushed the store
+   warms both modes with zero recomputation. *)
 let test_store_interner_independent () =
   in_temp_dir @@ fun dir ->
   let cold_store = Store.open_dir dir in
@@ -367,7 +370,7 @@ let test_store_interner_independent () =
     warm_store
   in
   ignore (warm ~kernel:true "kernel-written store" 0);
-  Store.flush (warm ~kernel:false "kernel-written store" 48);
+  Store.flush (warm ~kernel:false "kernel-written store" 96);
   ignore (warm ~kernel:false "legacy-healed store" 0);
   ignore (warm ~kernel:true "legacy-healed store" 0)
 
@@ -533,8 +536,9 @@ let qcheck_topk =
 
 (* CSR family composition round-trip: for random partitioned tables and
    random slot subsets, the arena-composed counts must be the exact
-   count bag of the boxed sum of the group profiles' counts, and score
-   bit-identically to a raw re-tokenisation of the selected rows. *)
+   count bag of the boxed sum of the groups' string-path profiles, and
+   score bit-identically to a raw re-tokenisation of the selected
+   rows. *)
 let qcheck_compose =
   let gen =
     QCheck.Gen.(pair (list_size (1 -- 6) (list_size (0 -- 5) words_gen)) (1 -- 63))
@@ -550,20 +554,10 @@ let qcheck_compose =
         Table.make schema
           (List.map (fun (g, s) -> [| Value.Int g; Value.String s |]) rows)
       in
-      let sub_strings indices =
-        let trows = Table.rows tbl in
-        Array.to_list indices
-        |> List.filter_map (fun i ->
-               match trows.(i).(1) with
-               | Value.String s -> Some s
-               | v -> if Value.is_null v then None else Some (Value.to_string v))
-      in
+      let sub_strings indices = Oracle.Strings.cells tbl "txt" indices in
       let cache = Matching.Profile_cache.create () in
       Matching.Profile_cache.set_partitioning cache true;
-      let fam =
-        Matching.Profile_cache.family cache ~table:tbl ~cond_attr:"k" ~attr:"txt"
-          ~profile_of:(fun indices -> Textsim.Profile.of_strings (sub_strings indices))
-      in
+      let fam = Matching.Profile_cache.family cache ~table:tbl ~cond_attr:"k" ~attr:"txt" in
       let part = Matching.Profile_cache.partition cache ~table:tbl ~cond_attr:"k" in
       let n = Array.length part.Matching.Profile_cache.part_indices in
       let slots = List.filter (fun i -> mask land (1 lsl i) <> 0) (List.init n Fun.id) in
@@ -576,11 +570,9 @@ let qcheck_compose =
             (fun id c -> (Textsim.Gram_dict.gram fam.Matching.Profile_cache.fam_dict id, c))
             composed.Matching.Profile_cache.vc_ids composed.Matching.Profile_cache.vc_counts
         in
-        (* the group profiles the family was packed from, by group key *)
+        (* the groups' profiles as the string path builds them *)
         let group s =
-          Matching.Profile_cache.profile cache
-            ("fam", "txt", part.Matching.Profile_cache.part_digests.(s))
-            (fun () -> failwith "group profile not cached")
+          Oracle.Strings.profile (sub_strings part.Matching.Profile_cache.part_indices.(s))
         in
         let boxed =
           Textsim.Profile.of_counts ~q:3
@@ -655,7 +647,7 @@ let view_case_gen =
       (list_size (0 -- 6) (triple txt alien n)))
 
 (* Every view of a random table, scored through a kernel model (its
-   families warmed up front or built on first touch), against
+   families built up front or on first touch), against
    [Matcher.score] on the cache-less, row-scanned view column: q-gram,
    word, value-overlap, name and type scores of the text attribute, and
    value-overlap, numeric, range, name and type scores of the int
@@ -685,7 +677,17 @@ let qcheck_view_scores =
       let model =
         Matching.Standard_match.build ~source:(Database.make "src" [ tbl ]) ~target ()
       in
-      if warm then Matching.Column.warm_families (Matching.Standard_match.profile_cache model) tbl;
+      if warm then begin
+        let cache = Matching.Standard_match.profile_cache model in
+        List.iter
+          (fun attr ->
+            ignore (Matching.Profile_cache.family cache ~table:tbl ~cond_attr:"k" ~attr);
+            List.iter
+              (fun kind ->
+                ignore (Matching.Profile_cache.set_family cache ~table:tbl ~cond_attr:"k" ~attr kind))
+              Matching.Profile_cache.[ Values; Words ])
+          [ "txt"; "n" ]
+      end;
       List.for_all
         (fun vs ->
           let cond = match vs with [ v ] -> Condition.Eq ("k", v) | vs -> Condition.In ("k", vs) in
@@ -721,18 +723,10 @@ let test_compose_scratch_reuse () =
   in
   let small = table "small" [ [ "ab" ]; [ "ba"; "ab" ] ] in
   let cache = Matching.Profile_cache.create () in
-  let sub_strings tbl indices =
-    Array.to_list indices |> List.map (fun i -> Value.to_string (Table.rows tbl).(i).(1))
-  in
-  let fam tbl =
-    Matching.Profile_cache.family cache ~table:tbl ~cond_attr:"k" ~attr:"txt"
-      ~profile_of:(fun indices -> Textsim.Profile.of_strings (sub_strings tbl indices))
-  in
+  let fam tbl = Matching.Profile_cache.family cache ~table:tbl ~cond_attr:"k" ~attr:"txt" in
   let sets tbl =
     Matching.Profile_cache.set_family cache ~table:tbl ~cond_attr:"k" ~attr:"txt"
-      ~set_of:(fun indices ->
-        List.concat_map Textsim.Tokenize.words (sub_strings tbl indices)
-        |> List.sort_uniq String.compare)
+      Matching.Profile_cache.Words
   in
   let same_counts (a : Matching.Profile_cache.view_counts) (b : Matching.Profile_cache.view_counts)
       =

@@ -82,9 +82,14 @@ let test_gnb_untrained () =
   Alcotest.(check bool) "none" true (Learn.Gaussian_nb.classify g 1.0 = None)
 
 (* A classifier trains and classifies the cells of one featurized
-   column by row index. *)
+   column by row index; the column codes its text cells. *)
 let classifier_over cells =
-  Learn.Classifier.create (Learn.Classifier.column (Array.of_list cells))
+  let cells = Array.of_list cells in
+  let coded =
+    Textsim.Coded.make
+      (Array.map (function Learn.Classifier.Text s -> Some s | Number _ | Missing -> None) cells)
+  in
+  Learn.Classifier.create (Learn.Classifier.column (fun () -> coded) cells)
 
 let test_classifier_dispatch () =
   let c =

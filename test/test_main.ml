@@ -19,6 +19,7 @@ let () =
       ("textsim.tokenize", Test_tokenize.suite);
       ("textsim.simmetrics", Test_simmetrics.suite);
       ("textsim.profile", Test_profile.suite);
+      ("textsim.coded-oracle", Test_coded_oracle.suite);
       ("learn", Test_learn.suite);
       ("matching", Test_matching.suite);
       ("ctxmatch.core", Test_ctxmatch.suite);

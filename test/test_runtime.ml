@@ -124,7 +124,85 @@ let test_memo_under_concurrency () =
     results;
   Alcotest.(check int) "all lookups accounted" 200
     (Runtime.Memo.hits memo + Runtime.Memo.misses memo);
+  Alcotest.(check int) "each key computed once" 10 (Runtime.Memo.misses memo);
   Alcotest.(check int) "only ten keys" 10 (Runtime.Memo.length memo)
+
+(* [domains] domains released together, each running [f]; their results
+   in spawn order. *)
+let race ~domains f =
+  let ready = Atomic.make 0 in
+  List.init domains (fun _ ->
+      Domain.spawn (fun () ->
+          Atomic.incr ready;
+          while Atomic.get ready < domains do
+            Domain.cpu_relax ()
+          done;
+          f ()))
+  |> List.map Domain.join
+
+let test_memo_computes_once () =
+  let memo = Runtime.Memo.create () in
+  let computed = Atomic.make 0 in
+  let results =
+    race ~domains:4 (fun () ->
+        Runtime.Memo.find_or_add memo "k" (fun () ->
+            Atomic.incr computed;
+            Unix.sleepf 0.02;
+            ref 0))
+  in
+  Alcotest.(check int) "computed once" 1 (Atomic.get computed);
+  Alcotest.(check bool) "every caller gets the same physical value" true
+    (List.for_all (fun r -> r == List.hd results) results);
+  Alcotest.(check int) "one miss" 1 (Runtime.Memo.misses memo);
+  Alcotest.(check int) "the waiters hit" 3 (Runtime.Memo.hits memo)
+
+(* A failing computation stores nothing and is shared with no one: each
+   waiter retries, so every caller computes (and fails) exactly once. *)
+let test_memo_failure_retried () =
+  let memo = Runtime.Memo.create () in
+  let computed = Atomic.make 0 in
+  let raised =
+    race ~domains:4 (fun () ->
+        match
+          Runtime.Memo.find_or_add memo "k" (fun () ->
+              Atomic.incr computed;
+              Unix.sleepf 0.01;
+              failwith "boom")
+        with
+        | _ -> false
+        | exception Failure _ -> true)
+  in
+  Alcotest.(check (list bool)) "every caller raised" [ true; true; true; true ] raised;
+  Alcotest.(check int) "each caller computed once" 4 (Atomic.get computed);
+  Alcotest.(check int) "nothing stored" 0 (Runtime.Memo.length memo);
+  Alcotest.(check int) "a later success is stored" 7
+    (Runtime.Memo.find_or_add memo "k" (fun () -> 7));
+  Alcotest.(check int) "and kept" 7 (Runtime.Memo.find_or_add memo "k" (fun () -> 8))
+
+(* A keyed [Memo_lookup] fault dooms the same keys on every lookup,
+   whichever domains race them, and a doomed key is never computed. *)
+let test_memo_fault_fires_again () =
+  let memo = Runtime.Memo.create () in
+  let computed = Atomic.make 0 in
+  let pass () =
+    List.init 40 (fun k ->
+        match
+          Runtime.Memo.find_or_add memo k (fun () ->
+              Atomic.incr computed;
+              k)
+        with
+        | v -> Some v
+        | exception Robust.Fault.Injected _ -> None)
+  in
+  Robust.Fault.with_armed [ { Robust.Fault.site = Robust.Fault.Memo_lookup; rate = 0.5; seed = 3 } ]
+  @@ fun () ->
+  let first = pass () in
+  let stored = List.length (List.filter Option.is_some first) in
+  Alcotest.(check bool) "some keys doomed, some not" true (stored > 0 && stored < 40);
+  List.iter
+    (fun again -> Alcotest.(check (list (option int))) "same keys fail again" first again)
+    (race ~domains:4 pass);
+  Alcotest.(check int) "only surviving keys computed, once each" stored (Atomic.get computed)
 
 (* --- Profile cache ----------------------------------------------------- *)
 
@@ -165,6 +243,58 @@ let test_cache_miss_on_different_subset () =
   Alcotest.(check bool) "distinct digests" true
     (Matching.Profile_cache.subset_digest (View.row_indices va)
     <> Matching.Profile_cache.subset_digest (View.row_indices vb))
+
+(* Families look their partition and coded column up inside their own
+   computation; four domains building every family of a table at once
+   must finish, compute each artefact once, and agree with a sequential
+   build. *)
+let test_nested_lookups_jobs4 () =
+  let pairs =
+    List.concat_map
+      (fun cond_attr -> List.map (fun attr -> (cond_attr, attr)) [ "flag"; "dup"; "x" ])
+      [ "flag"; "dup" ]
+  in
+  let build cache (cond_attr, attr) =
+    let fam = Matching.Profile_cache.family cache ~table:cache_table ~cond_attr ~attr in
+    let words =
+      Matching.Profile_cache.set_family cache ~table:cache_table ~cond_attr ~attr
+        Matching.Profile_cache.Words
+    in
+    let counts = Matching.Profile_cache.compose_counts fam [ 0; 1 ] in
+    (counts.Matching.Profile_cache.vc_ids, counts.vc_counts, Matching.Profile_cache.compose_ids words [ 1 ])
+  in
+  let expected = List.map (build (Matching.Profile_cache.create ())) pairs in
+  let cache = Matching.Profile_cache.create () in
+  let pool = Runtime.Pool.create ~jobs:4 in
+  let got = Runtime.Pool.map_list pool (build cache) (pairs @ pairs @ pairs) in
+  Runtime.Pool.shutdown pool;
+  Alcotest.(check bool) "same families as a sequential build" true (got = expected @ expected @ expected);
+  Alcotest.(check int) "each coded column built once" 3 (Runtime.Memo.misses cache.coded);
+  Alcotest.(check int) "each partition built once" 2 (Runtime.Memo.misses cache.partitions);
+  Alcotest.(check int) "each family built once" 6 (Runtime.Memo.misses cache.families)
+
+(* Per-run accounting counts the same caches in hits, misses and
+   builds: the source cache, and the target cache only when the run
+   prepared the target itself. *)
+let test_run_accounting () =
+  let params = { Workload.Retail.default_params with rows = 120; target_rows = 60 } in
+  let source = Workload.Retail.source params in
+  let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
+  let infer = Ctxmatch.Context_match.infer_of `Naive ~target in
+  let run ?prepared () = Ctxmatch.Context_match.run ?prepared ~infer ~source ~target () in
+  let builds (r : Ctxmatch.Context_match.result) = r.profile_builds in
+  let one_shot = run () in
+  Alcotest.(check int) "one-shot, no store: builds = misses" one_shot.cache_misses
+    (builds one_shot);
+  let prepared = Matching.Standard_match.prepare_target ~target () in
+  let first = run ~prepared () and second = run ~prepared () in
+  List.iter
+    (fun (what, (r : Ctxmatch.Context_match.result)) ->
+      Alcotest.(check bool) (what ^ ": builds <= misses") true (builds r <= r.cache_misses))
+    [ ("first prepared run", first); ("second prepared run", second) ];
+  Alcotest.(check int) "a second run reports no target builds" (builds first) (builds second);
+  Alcotest.(check bool) "target builds count once, in the run that prepared them" true
+    (builds first < builds one_shot)
 
 (* Source rows with embedded commas, quotes and newlines, round-tripped
    through the CSV layer: cached view scores must equal fresh ones on
@@ -231,6 +361,11 @@ let suite =
     Alcotest.test_case "memo accounting" `Quick test_memo_hit_miss_accounting;
     Alcotest.test_case "memo first insertion wins" `Quick test_memo_returns_first_insertion;
     Alcotest.test_case "memo under concurrency" `Quick test_memo_under_concurrency;
+    Alcotest.test_case "memo computes a raced key once" `Quick test_memo_computes_once;
+    Alcotest.test_case "memo retries a failed computation" `Quick test_memo_failure_retried;
+    Alcotest.test_case "memo fault fires again" `Quick test_memo_fault_fires_again;
+    Alcotest.test_case "nested family lookups at jobs 4" `Quick test_nested_lookups_jobs4;
+    Alcotest.test_case "per-run cache accounting" `Quick test_run_accounting;
     Alcotest.test_case "cache hit on equal subset" `Quick test_cache_hit_on_identical_subset;
     Alcotest.test_case "cache miss on new subset" `Quick test_cache_miss_on_different_subset;
     Alcotest.test_case "cached score = fresh score (csv)" `Quick
