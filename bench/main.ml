@@ -669,7 +669,7 @@ let store_report () =
     exit 1
   end
 
-(* --- Scoring kernel: interned/partitioned vs legacy (BENCH_kernel.json) - *)
+(* --- Scoring kernel: indexed/partitioned vs legacy (BENCH_kernel.json) -- *)
 
 (* Wall time of the view-scoring phase — every candidate view re-scored
    against the base matches — with the kernel on vs off, at growing
@@ -686,7 +686,7 @@ let store_report () =
    paths fails the run, making this a perf gate that can never trade
    correctness for speed. *)
 let kernel_report () =
-  R.section "Scoring kernel: interned + partitioned view scoring vs legacy string path";
+  R.section "Scoring kernel: indexed + partitioned view scoring vs legacy string path";
   R.note "expected shape: speedup grows with scale (partition reuse amortises per family)";
   let fp_scored scored =
     String.concat "\n"

@@ -45,7 +45,7 @@ type t = {
           (default [[]]); used by the deterministic fault harness —
           see [test/faults] *)
   kernel : bool;
-      (** interned q-gram scoring kernel + partitioned view profiles
+      (** q-gram inverted-index scoring kernel + partitioned view profiles
           (default true).  Scores are bit-identical either way — the
           switch trades nothing but time, and exists for the kernel
           bench's baseline and for differential tests; see DESIGN.md,

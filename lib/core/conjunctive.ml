@@ -83,7 +83,7 @@ let run ?(config = Config.default) ?(stages = 2) ~algorithm ~source ~target () =
             (config.Config.omega /. Float.pow 4.0 (float_of_int (stage_index - 1)))
         in
         (* Each stage's run builds its own StandardMatch model — and
-           with it a fresh interner dictionary and condition-attribute
+           with it a fresh gram dictionary and condition-attribute
            partitions over the materialised stage tables, so the scoring
            kernel applies to every conjunctive stage, not just the
            first. *)

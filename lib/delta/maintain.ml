@@ -6,7 +6,6 @@ type t = {
   m_store : Store.t option;
   m_kernel : bool;
   m_churn : float;
-  m_compact_after : int;
   mutable m_target : Database.t;
   mutable m_prepared : Matching.Standard_match.prepared_target;
   mutable m_states : (string * Profiles.t) list;
@@ -14,12 +13,15 @@ type t = {
   m_chain : (string, int) Hashtbl.t;
 }
 
-let create ?store ?(kernel = true) ?(churn = 0.25) ?(compact_after = 32) ~target ~prepared () =
+(* Patches a table's store delta chain may hold before it is folded
+   back into a base snapshot. *)
+let compact_after = 32
+
+let create ?store ?(kernel = true) ?(churn = 0.25) ~target ~prepared () =
   {
     m_store = store;
     m_kernel = kernel;
     m_churn = churn;
-    m_compact_after = compact_after;
     m_target = target;
     m_prepared = prepared;
     m_states = List.map (fun tbl -> (Table.name tbl, Profiles.create tbl)) (Database.tables target);
@@ -30,7 +32,6 @@ let create ?store ?(kernel = true) ?(churn = 0.25) ?(compact_after = 32) ~target
 let prepared t = t.m_prepared
 let target t = t.m_target
 let generation t = t.m_generation
-let churn_limit t = t.m_churn
 let profiles t name = List.assoc_opt name t.m_states
 
 let update t delta =
@@ -89,7 +90,7 @@ let update t delta =
             ~table:(Profiles.table st) ?digest ~patches ()
         with
         | None ->
-          (* the frozen interner cannot absorb the new grams; the cold
+          (* the frozen dictionary cannot absorb the new grams; the cold
              path can ([finish_rebuild] reapplies the delta to the
              untouched old table) *)
           finish_rebuild "out-of-vocabulary grams"
@@ -107,7 +108,7 @@ let update t delta =
                 dr_deleted_rows = deleted;
               };
             let n = 1 + Option.value ~default:0 (Hashtbl.find_opt t.m_chain tname) in
-            if n >= t.m_compact_after then begin
+            if n >= compact_after then begin
               ignore (Store.compact_deltas s ~table:tname ~data:to_);
               Hashtbl.replace t.m_chain tname 0
             end

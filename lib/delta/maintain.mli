@@ -14,8 +14,8 @@
 
     With a store, each patch records a {!Store.delta_record} chaining
     the new table digest off the old one; chains are folded back into a
-    base snapshot ([Store.compact_deltas]) after [compact_after]
-    patches and on every rebuild.  Updates pass the
+    base snapshot ([Store.compact_deltas]) after 32 patches and on
+    every rebuild.  Updates pass the
     [Robust.Fault.Delta_apply] site (key ["table:generation"]) before
     touching any state. *)
 
@@ -29,7 +29,6 @@ val create :
   ?store:Store.t ->
   ?kernel:bool ->
   ?churn:float ->
-  ?compact_after:int ->
   target:Relational.Database.t ->
   prepared:Matching.Standard_match.prepared_target ->
   unit ->
@@ -38,8 +37,7 @@ val create :
     each table once to seed the maintained state.  [kernel] must match
     the flag [prepared] was built with (it governs rebuilds).  [churn]
     (default 0.25) is the patch/rebuild threshold on
-    {!Core.churn}; [compact_after] (default 32) bounds store
-    delta-chain length. *)
+    {!Core.churn}. *)
 
 val update : t -> Core.t -> (outcome, string) result
 (** Apply one delta: validate, pass the fault site, then patch or
@@ -57,5 +55,4 @@ val target : t -> Relational.Database.t
 val generation : t -> int
 (** Successful updates so far (0 at creation). *)
 
-val churn_limit : t -> float
 val profiles : t -> string -> Profiles.t option

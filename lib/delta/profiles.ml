@@ -1,13 +1,15 @@
 open Relational
 
-(* Maintained artefacts of one attribute.  Distinct/word sets are kept
-   as occurrence multisets: deletion is exact integer decrement, and the
-   distinct *set* a cold scan computes is exactly the multiset's key set
-   — a value vanishes when its last occurrence does, never before. *)
+(* Maintained artefacts of one attribute.  Grams, distinct values and
+   words are kept as occurrence multisets: deletion is exact integer
+   decrement, so the gram counts are the ones a cold scan counts and
+   the distinct *set* a cold scan computes is exactly the multiset's
+   key set — a value vanishes when its last occurrence does, never
+   before. *)
 type attr_state = {
   a_attr : string;
   a_numeric : bool;
-  a_profile : Textsim.Profile.t option;
+  a_grams : (string, int) Hashtbl.t option;
   a_distinct : (string, int) Hashtbl.t option;
   a_words : (string, int) Hashtbl.t option;
 }
@@ -18,8 +20,6 @@ type t = {
   p_attrs : attr_state list;
 }
 
-let copy_profile p = Textsim.Profile.of_counts ~q:(Textsim.Profile.q p) (Textsim.Profile.counts p)
-
 let multiset_add h s = Hashtbl.replace h s (1 + Option.value ~default:0 (Hashtbl.find_opt h s))
 
 let multiset_remove h s =
@@ -28,8 +28,12 @@ let multiset_remove h s =
   | Some 1 -> Hashtbl.remove h s
   | Some n -> Hashtbl.replace h s (n - 1)
 
-let multiset_keys h =
-  Hashtbl.fold (fun k _ acc -> k :: acc) h [] |> List.sort String.compare
+let multiset_counts h =
+  Hashtbl.fold (fun k n acc -> (k, n) :: acc) h []
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+
+let multiset_keys h = List.map fst (multiset_counts h)
+let profile_of h = Textsim.Profile.of_counts (Array.of_list (multiset_counts h))
 
 let cell_string v = if Value.is_null v then None else Some (Value.to_string v)
 
@@ -44,20 +48,12 @@ let fold_row t schema dir row =
       match cell_string v with
       | None -> ()
       | Some s ->
-        (match a.a_profile with
-        | Some p ->
-          if dir > 0 then Textsim.Profile.patch p ~add:[ s ] ~remove:[]
-          else Textsim.Profile.patch p ~add:[] ~remove:[ s ]
-        | None -> ());
-        (match a.a_distinct with
-        | Some h -> if dir > 0 then multiset_add h s else multiset_remove h s
-        | None -> ());
-        (match a.a_words with
-        | Some h ->
-          List.iter
-            (fun w -> if dir > 0 then multiset_add h w else multiset_remove h w)
-            (Textsim.Tokenize.words s)
-        | None -> ()))
+        let fold h tokens =
+          List.iter (fun x -> if dir > 0 then multiset_add h x else multiset_remove h x) tokens
+        in
+        Option.iter (fun h -> fold h (Textsim.Tokenize.trigrams s)) a.a_grams;
+        Option.iter (fun h -> fold h [ s ]) a.a_distinct;
+        Option.iter (fun h -> fold h (Textsim.Tokenize.words s)) a.a_words)
     t.p_attrs
 
 let create table =
@@ -71,7 +67,7 @@ let create table =
         {
           a_attr = name;
           a_numeric = Attribute.is_numeric attr;
-          a_profile = (if textual then Some (Textsim.Profile.of_strings []) else None);
+          a_grams = (if textual then Some (Hashtbl.create 256) else None);
           a_distinct =
             (if textual || int_distinct then Some (Hashtbl.create 64) else None);
           a_words = (if textual then Some (Hashtbl.create 64) else None);
@@ -111,8 +107,7 @@ let apply t delta =
 
 let attr_state t attr = List.find_opt (fun a -> String.equal a.a_attr attr) t.p_attrs
 
-let profile t attr =
-  Option.bind (attr_state t attr) (fun a -> Option.map copy_profile a.a_profile)
+let profile t attr = Option.bind (attr_state t attr) (fun a -> Option.map profile_of a.a_grams)
 
 let distinct t attr =
   Option.bind (attr_state t attr) (fun a -> Option.map multiset_keys a.a_distinct)
@@ -137,7 +132,7 @@ let column_patches t =
     (fun a ->
       {
         Matching.Standard_match.cp_attr = a.a_attr;
-        cp_profile = Option.map copy_profile a.a_profile;
+        cp_profile = Option.map profile_of a.a_grams;
         cp_distinct = Option.map multiset_keys a.a_distinct;
         cp_words = Option.map multiset_keys a.a_words;
       })

@@ -9,11 +9,11 @@
 
     {2 Exactness}
 
-    Profiles and distinct/word multisets are integer bags, and a row's
-    contribution is folded in and out with exact integer inverses
-    ({!Textsim.Profile.patch}, multiset increment/decrement), so after
-    any append/delete interleaving the maintained state equals — bag
-    for bag, hence score for score, bit for bit — a cold scan of the
+    A textual attribute's 3-grams, distinct values and words are kept
+    as occurrence multisets, and a row's contribution is folded in and
+    out with exact integer increments and decrements, so after any
+    append/delete interleaving the maintained state equals — bag for
+    bag, hence score for score, bit for bit — a cold scan of the
     surviving rows.  The one exception is the numeric {!summary}, which
     is not an invertible integer algebra and is recomputed over the
     current rows with the cold path's exact fold. *)
@@ -39,9 +39,9 @@ val digest : t -> string
     cached until the next {!apply}. *)
 
 val profile : t -> string -> Textsim.Profile.t option
-(** Maintained q-gram profile of a textual attribute (a fresh copy —
-    callers cannot corrupt the maintained state).  [None] for unknown
-    or non-textual attributes; same convention below. *)
+(** The q-gram profile of a textual attribute's maintained gram
+    counts ({!Textsim.Profile.of_counts}).  [None] for unknown or
+    non-textual attributes; same convention below. *)
 
 val distinct : t -> string -> string list option
 (** Distinct display strings, sorted — textual and int attributes. *)

@@ -96,27 +96,3 @@ let derive ~relations ~base =
       end)
     relations;
   List.rev !results
-
-let derived_keys derived =
-  List.filter_map
-    (fun d ->
-      match d.constr with
-      | Constraints.Key k -> Some k
-      | Constraints.Fk _ | Constraints.Cfk _ -> None)
-    derived
-
-let derived_fks derived =
-  List.filter_map
-    (fun d ->
-      match d.constr with
-      | Constraints.Fk f -> Some f
-      | Constraints.Key _ | Constraints.Cfk _ -> None)
-    derived
-
-let derived_cfks derived =
-  List.filter_map
-    (fun d ->
-      match d.constr with
-      | Constraints.Cfk c -> Some c
-      | Constraints.Key _ | Constraints.Fk _ -> None)
-    derived

@@ -26,7 +26,3 @@ val derive : relations:Relation.t list -> base:Constraints.t list -> derived lis
 (** Apply all rules to every view relation.  Domain checks for
     view-referencing use the base relation's sample instance.  Results
     are deduplicated. *)
-
-val derived_keys : derived list -> Constraints.key list
-val derived_fks : derived list -> Constraints.foreign_key list
-val derived_cfks : derived list -> Constraints.contextual_fk list

@@ -97,9 +97,6 @@ let default_suite =
     type_matcher;
   ]
 
-let instance_only_suite =
-  [ qgram_matcher; word_matcher; numeric_matcher; range_matcher; value_overlap_matcher; type_matcher ]
-
 (* Matchers a candidate filter may restrict to the q-gram survivors
    of a textual source attribute: the instance-overlap computations.
    Any other matcher, user-defined ones without a hint included, scores

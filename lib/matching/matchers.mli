@@ -38,10 +38,6 @@ val default_suite : Matcher.t list
 (** All of the above, paper-style weighting (instance signals dominate;
     names help; type is a weak prior). *)
 
-val instance_only_suite : Matcher.t list
-(** Instance-based matchers only (no name matcher) — used to check that
-    contextual matching does not ride on attribute names. *)
-
 val filterable : Matcher.t -> bool
 (** Whether a candidate filter ({!Standard_match.filter}) may restrict
     this matcher's textual pairs to the filter's survivors: true for the

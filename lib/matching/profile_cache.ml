@@ -142,7 +142,6 @@ let seed t memo add k v =
          v))
 
 let seed_profile t k v = seed t t.profiles Store.add_profile k v
-let seed_summary t k v = seed t t.summaries Store.add_summary k v
 let seed_distinct t k v = seed t t.distincts Store.add_distinct k v
 
 (* Canonical textual encoding, NOT [Marshal]: marshalled byte layout is

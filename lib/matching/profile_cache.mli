@@ -148,7 +148,6 @@ val distinct : t -> key -> (unit -> string list) -> string list
     counter and writes the artefact through to the store. *)
 
 val seed_profile : t -> key -> Textsim.Profile.t -> unit
-val seed_summary : t -> key -> Stats.Descriptive.summary -> unit
 
 val seed_distinct : t -> key -> string list -> unit
 (** Insert a delta-maintained artefact as if it had been computed

@@ -5,7 +5,7 @@
     Built once on the main domain at the end of
     {!Standard_match.build}'s target warm-up — before the per-attribute
     fan-out — and immutable afterwards, so worker domains read it
-    without locks (the interner lifecycle is "freeze after build").
+    without locks.
     Batch {!scores} and {!top_k} record [kernel.*] observability
     counters; in particular [kernel.batch.pruned] /
     [kernel.topk.pruned] count the pairs skipped as exact zeros (no
@@ -15,8 +15,7 @@
 type t
 
 val build : ((string * string) * Textsim.Profile.t) array -> t
-(** [(table, attr), profile] per target column.  Interns every target
-    profile against the freshly frozen dictionary. *)
+(** [(table, attr), profile] per target column, in slot order. *)
 
 val patch : t -> ((string * string) * Textsim.Profile.t) list -> t option
 (** Replace the named target columns' profiles, touching only the
@@ -31,7 +30,8 @@ val slot : t -> table:string -> attr:string -> int option
 
 val scores : t -> Textsim.Profile.t -> float array
 (** Exact cosine against every target, indexed by {!slot}; bit-identical
-    to the pairwise string path (see {!Textsim.Gram_index.scores}).
+    to pairwise {!Textsim.Profile.cosine} (see
+    {!Textsim.Gram_index.scores}).
     Raises [Invalid_argument] if any cosine is NaN — the boundary
     rejects a poisoned score instead of letting it reach
     normalisation. *)
@@ -39,7 +39,7 @@ val scores : t -> Textsim.Profile.t -> float array
 val top_k :
   t -> Textsim.Profile.t -> k:int -> tau:float -> ((string * string) * float) list
 (** Up to [k] targets with cosine >= [tau], best first, ties at the
-    rank-k boundary broken by ascending target slot (= interned column
-    id): {!Textsim.Gram_index.select} over the exact {!scores}, so it
-    equals exhaustive pairwise scoring + filter + sort.  Rejects NaN
-    like {!scores}. *)
+    rank-k boundary broken by ascending target slot (the column's
+    position in {!build}'s array): {!Textsim.Gram_index.select} over
+    the exact {!scores}, so it equals exhaustive pairwise scoring +
+    filter + sort.  Rejects NaN like {!scores}. *)

@@ -30,7 +30,7 @@ type model = {
   (* whether this build prepared the target itself: only then are the
      target cache's lookups and builds this build's own *)
   inline_target : bool;
-  (* interned q-gram index over the textual target columns; None when
+  (* q-gram inverted index over the textual target columns; None when
      the kernel is disabled or no textual target exists *)
   kernel : Score_kernel.t option;
 }
@@ -152,7 +152,7 @@ let prepare_target ?store ?(kernel = true) ?(fail_fast = false) ~target () =
   List.iter
     (fun tgt -> Hashtbl.replace target_index (tgt.table, Column.name tgt.column) tgt)
     target_cols;
-  (* Freeze the scoring kernel after the warm-up: the interner
+  (* Freeze the scoring kernel after the warm-up: the gram
      dictionary and inverted index are immutable from here on, so
      worker domains (and every later consumer) read them lock-free. *)
   let score_kernel =
@@ -204,15 +204,15 @@ type column_patch = {
 }
 
 (* Rebuild a prepared target around one replaced table without
-   re-tokenizing its text: the scoring kernel is patched in place
-   (touched postings only), the maintained artefacts are seeded into a
-   fresh target cache under the exact keys the new columns will read,
-   and every column of an unchanged table is reused verbatim — its
-   artefacts are memoised in-object and immutable.  [None] when the new
-   rows hold grams outside the frozen dictionary (the interner cannot
-   grow); the caller must [prepare_target] cold.  The original artefact
-   is never mutated, so concurrent readers of the old generation stay
-   valid and a failed patch leaves no trace. *)
+   re-tokenizing its text: the scoring kernel is patched (touched
+   postings rebuilt, the rest copied), the maintained artefacts are
+   seeded into a fresh target cache under the exact keys the new
+   columns will read, and every column of an unchanged table is reused
+   verbatim — its artefacts are memoised in-object and immutable.
+   [None] when the new rows hold grams outside the frozen dictionary
+   (it cannot grow); the caller must [prepare_target] cold.  The
+   original artefact is never mutated, so concurrent readers of the old
+   generation stay valid and a failed patch leaves no trace. *)
 let patch_prepared ?store prepared ~table ?digest ~patches () =
   Obs.Trace.with_span "patch_prepared" @@ fun () ->
   let table_name = Table.name table in

@@ -178,8 +178,7 @@ let emit_entry buf addr art =
   | Profile p ->
     let counts = Textsim.Profile.counts p in
     Buffer.add_string buf
-      (Printf.sprintf "P %s %d %d %d\n" addr (Textsim.Profile.q p) (Textsim.Profile.total p)
-         (Array.length counts));
+      (Printf.sprintf "P %s 3 %d %d\n" addr (Textsim.Profile.total p) (Array.length counts));
     Array.iter
       (fun (gram, n) -> Buffer.add_string buf (Printf.sprintf "G %s %d\n" (to_hex gram) n))
       counts
@@ -276,7 +275,10 @@ let parse_shard ~index ~nshards text =
             | [ "G"; gram; c ] -> (of_hex gram, int_field "gram occurrences" c)
             | _ -> raise (Corrupt "bad gram line"))
       in
-      let p = Textsim.Profile.of_counts ~q:(int_field "q" q) counts in
+      if int_field "q" q <> 3 then raise (Corrupt (Printf.sprintf "gram size %s, expected 3" q));
+      let p =
+        try Textsim.Profile.of_counts counts with Invalid_argument m -> raise (Corrupt m)
+      in
       if Textsim.Profile.total p <> int_field "total" total then
         raise (Corrupt "profile total mismatch");
       Hashtbl.replace table addr (Profile p);

@@ -51,7 +51,9 @@
     per-model and per-run, while stored artefacts outlive both.  A
     store written by a kernel run therefore warms a legacy run
     byte-identically and vice versa, and re-reading an entry under a
-    differently-built dictionary is impossible by construction.
+    differently-built dictionary is impossible by construction.  A
+    profile record also carries its gram size, always 3; a record of
+    any other size is corrupt and quarantines its shard.
 
     {2 Concurrency}
 

@@ -118,7 +118,7 @@ let gram_counts ?rows t =
 let profile t =
   let ids, counts = gram_counts t in
   let dict = grams t in
-  Profile.of_counts ~q:3 (Array.mapi (fun k id -> (Gram_dict.gram dict id, counts.(k))) ids)
+  Profile.of_counts (Array.mapi (fun k id -> (Gram_dict.gram dict id, counts.(k))) ids)
 
 let value_ids ?rows t =
   let mult = multiplicities ?rows t in

@@ -12,25 +12,14 @@ type floats = {
   f_vals : (float, float64_elt, c_layout) Array1.t;
 }
 
-let make_offsets rows = Array1.create Int c_layout (rows + 1)
-
 let offsets_of_lengths lengths =
   let rows = Array.length lengths in
-  let offsets = make_offsets rows in
+  let offsets = Array1.create Int c_layout (rows + 1) in
   Array1.unsafe_set offsets 0 0;
   for r = 0 to rows - 1 do
     Array1.unsafe_set offsets (r + 1) (Array1.unsafe_get offsets r + lengths.(r))
   done;
   offsets
-
-let alloc_ints lengths =
-  let offsets = offsets_of_lengths lengths in
-  let nnz = Array1.get offsets (Array.length lengths) in
-  {
-    i_offsets = offsets;
-    i_ids = Array1.create Int32 c_layout nnz;
-    i_vals = Array1.create Int32 c_layout nnz;
-  }
 
 let alloc_floats lengths =
   let offsets = offsets_of_lengths lengths in
@@ -57,27 +46,6 @@ let pack_ints rows =
     rows;
   { i_offsets = offsets; i_ids = ids; i_vals = vals }
 
-let pack_floats rows =
-  let offsets = offsets_of_lengths (Array.map (fun (ids, _) -> Array.length ids) rows) in
-  let nnz = Array1.get offsets (Array.length rows) in
-  let ids = Array1.create Int32 c_layout nnz in
-  let vals = Array1.create Float64 c_layout nnz in
-  Array.iteri
-    (fun r (rids, rvals) ->
-      let base = Array1.get offsets r in
-      Array.iteri
-        (fun k id ->
-          Array1.unsafe_set ids (base + k) (Int32.of_int id);
-          Array1.unsafe_set vals (base + k) rvals.(k))
-        rids)
-    rows;
-  { f_offsets = offsets; f_ids = ids; f_vals = vals }
-
-let ints_rows a = Array1.dim a.i_offsets - 1
-let floats_rows a = Array1.dim a.f_offsets - 1
-let ints_nnz a = Array1.dim a.i_ids
-let floats_nnz a = Array1.dim a.f_ids
-
 let ints_row a r =
   let lo = Array1.get a.i_offsets r and hi = Array1.get a.i_offsets (r + 1) in
   let n = hi - lo in
@@ -91,10 +59,6 @@ let floats_row a r =
   let ids = Array.init n (fun k -> Int32.to_int (Array1.unsafe_get a.f_ids (lo + k))) in
   let vals = Array.init n (fun k -> Array1.unsafe_get a.f_vals (lo + k)) in
   (ids, vals)
-
-let ints_bytes a =
-  Array1.size_in_bytes a.i_offsets + Array1.size_in_bytes a.i_ids
-  + Array1.size_in_bytes a.i_vals
 
 let floats_bytes a =
   Array1.size_in_bytes a.f_offsets + Array1.size_in_bytes a.f_ids

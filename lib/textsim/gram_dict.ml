@@ -36,7 +36,6 @@ let of_docs docs =
   (t, Array.map (Array.map (Array.get renumber)) provisional)
 
 let find t g = Hashtbl.find_opt t.ids g
-let mem t g = Hashtbl.mem t.ids g
 
 let ids t grams =
   Array.of_list (List.map (fun g -> Option.value (Hashtbl.find_opt t.ids g) ~default:(-1)) grams)

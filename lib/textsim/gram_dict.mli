@@ -2,21 +2,19 @@
     vocabulary and [0 .. size - 1].
 
     Ids are assigned in [String.compare] order of the grams, so {e id
-    order is gram-lexicographic order}: a merge join over two id-sorted
-    count arrays visits shared grams in exactly the order the string
-    path's gram-sorted merge join does, which is what keeps interned
-    similarity scores bit-identical to string-path scores (the float
-    accumulation order is the same).
+    order is gram-lexicographic order}: a fold over id-sorted counts
+    visits grams in exactly the order the gram-sorted merge join of
+    {!Profile.cosine} does, which is what keeps id-space similarity
+    scores bit-identical to it (the float accumulation order is the
+    same).
 
-    The dictionary is frozen at construction — there is no [add].  This
-    is the "freeze after build" interner lifecycle: {!Gram_index.build}
-    collects every target gram, builds the dictionary once on the main
-    domain, and worker domains afterwards only call {!find}/{!gram},
-    which never mutate, so sharing a dictionary across a
-    [Runtime.Pool] fan-out needs no locking.  Grams outside the
-    vocabulary simply have no id; callers fall back to the string path
-    (or skip them, for dot products against in-vocabulary profiles,
-    where out-of-vocabulary grams cannot contribute). *)
+    The dictionary is frozen at construction — there is no [add].
+    {!Gram_index.build} and the coded columns build theirs once, and
+    worker domains afterwards only call {!find}/{!gram}, which never
+    mutate, so sharing a dictionary across a [Runtime.Pool] fan-out
+    needs no locking.  Grams outside the vocabulary simply have no id;
+    a dot product against in-vocabulary profiles skips them, since
+    they cannot contribute. *)
 
 type t
 
@@ -30,7 +28,6 @@ val of_docs : string list array -> t * int array array
     [ids.(i).(j)] the id of the [j]-th gram of [docs.(i)]. *)
 
 val find : t -> string -> int option
-val mem : t -> string -> bool
 
 val ids : t -> string list -> int array
 (** The id of each gram in order, [-1] for a gram outside the

@@ -1,18 +1,20 @@
 (** Gram-based inverted index over a fixed set of target profiles, with
     exact batch cosine scoring.
 
-    [build] freezes a {!Gram_dict} over every target gram, interns the
-    targets in place (so pairwise {!Profile.cosine} against them takes
-    the int fast path too), and lays both the interned target profiles
-    and the gram → (target, relative frequency) postings out as flat
-    {!Csr} arenas: one cache-linear buffer each for offsets, ids and
-    values, walked with no pointer chase.
+    [build] interns every target gram into a frozen {!Gram_dict}
+    ([Gram_dict.of_docs] over the targets' gram lists) and lays the
+    gram → (target, relative frequency) postings out as one flat
+    {!Csr} arena: one cache-linear buffer each for offsets, ids and
+    values, walked with no pointer chase.  The index keeps postings
+    only: a candidate's grams are looked up in the dictionary as they
+    are visited, and each target's total and norm are read from its
+    {!Profile.t}.
 
     {2 Soundness}
 
     {!scores} is {e exact}: per target it accumulates the identical dot
-    terms, in the identical gram-sorted order, as the string merge join
-    of {!Profile.cosine}, so its cosines are bit-identical — including
+    terms, in the identical gram-sorted order, as the merge join of
+    {!Profile.cosine}, so its cosines are bit-identical — including
     the implicit 0.0 of targets that share no gram with the candidate,
     which are never visited.  {!select} only decides {e which} of those
     exact scores to return, so top-k retrieval equals exhaustive
@@ -28,17 +30,14 @@ val patch : t -> (int * Profile.t) list -> t option
 (** [patch t [(slot, p); ...]] returns a new index equal to rebuilding
     over the targets with each [slot] replaced by [p] — rebuilding only
     the posting rows of grams present in the old or new profile of a
-    patched slot, and bulk-blitting (bit-preserving) every untouched
-    row into the fresh arenas.  The original index is left untouched.
-    Cost is O(delta) posting work plus an O(arena) copy — far below a
-    cold rebuild's re-tokenisation, but not in-place: the flat layout
-    trades update locality for scan locality.
+    patched slot, and blitting (bit-preserving) every untouched row
+    into the fresh arena.  The original index is left untouched.  Cost
+    is O(delta) posting work plus an O(arena) copy.
 
     The frozen dictionary cannot grow, so [None] is returned when any
     replacement profile holds an out-of-vocabulary gram; the caller
     must rebuild from scratch.  Grams whose postings empty out remain
-    in the dictionary as zero-length arena rows but are score-neutral
-    (an empty row contributes nothing to the accumulation), so
+    in the dictionary as zero-length rows but are score-neutral, so
     {!scores} on the patched index is bit-identical to a cold {!build}
     over the new target set. *)
 
@@ -46,7 +45,7 @@ val gram_count : t -> int
 (** Vocabulary size. *)
 
 val arena_bytes : t -> int
-(** Flat-buffer footprint of the posting and profile arenas. *)
+(** Flat-buffer footprint of the posting arena. *)
 
 val scores : t -> Profile.t -> float array * int
 (** [(cosines, touched)]: [cosines.(i)] is bit-identical to

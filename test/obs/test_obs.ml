@@ -226,21 +226,11 @@ let test_span_nesting () =
 
 (* --- counters do not depend on --jobs ---------------------------------- *)
 
-(* pool.* reflects scheduling (chunk counts, busy time) and the
-   hit/miss *split* of the shared caches can shift when two domains
-   race a compute on the same key; everything else — including the
-   lookup totals — must be identical at every jobs value. *)
-let scheduling_dependent name =
-  (String.length name >= 5 && String.sub name 0 5 = "pool.")
-  || List.mem name
-       [
-         "memo.hits";
-         "memo.misses";
-         "cache.profile.hits";
-         "cache.profile.misses";
-         (* a build happens on a double miss, so the same races shift it *)
-         "cache.profile.builds";
-       ]
+(* pool.* reflects scheduling (chunk counts, busy time); everything
+   else — cache hits, misses and builds included, since each memo key
+   is computed once whichever domain asks first — must be identical at
+   every jobs value. *)
+let scheduling_dependent name = String.starts_with ~prefix:"pool." name
 
 let counters_for run ~jobs =
   with_recorder @@ fun () ->

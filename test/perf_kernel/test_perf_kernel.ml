@@ -1,10 +1,10 @@
-(* Differential oracle for the interned scoring kernel (DESIGN.md,
-   "Scoring kernel").  Every fast path — int merge joins over interned
-   profiles, batch scoring through the gram inverted index, top-k
-   retrieval over the batch scores, view profiles composed from
-   condition-attribute partitions — must produce results *bit-identical*
-   to the legacy string path: same grams, same counts, same float bits.
-   Floats are compared via their IEEE bits (or %h fingerprints), so any
+(* Differential oracle for the scoring kernel (DESIGN.md, "Scoring
+   kernel").  Every fast path — batch scoring through the gram inverted
+   index, top-k retrieval over the batch scores, view profiles composed
+   from condition-attribute partitions — must produce results
+   *bit-identical* to the pairwise path ([Profile.cosine], row
+   re-scans): same grams, same counts, same float bits.  Floats are
+   compared via their IEEE bits (or %h fingerprints), so any
    accumulation-order drift fails loudly, not just drift above an
    epsilon. *)
 
@@ -12,12 +12,6 @@ open Relational
 
 let check_bits what a b =
   Alcotest.(check string) what (Printf.sprintf "%h" a) (Printf.sprintf "%h" b)
-
-(* A copy of [p] through the serialisation surface: same counts, no
-   interned view, so scoring it takes the pure string path. *)
-let fresh p = Textsim.Profile.of_counts ~q:(Textsim.Profile.q p) (Textsim.Profile.counts p)
-
-let grams_of p = Array.to_list (Textsim.Profile.counts p) |> List.map fst
 
 let corpus =
   [
@@ -28,46 +22,6 @@ let corpus =
     [];
     [ "xyzzy" ];
   ]
-
-(* --- interned merge joins ---------------------------------------------- *)
-
-let test_interned_pairwise () =
-  let profiles = List.map Textsim.Profile.of_strings corpus in
-  List.iteri
-    (fun i p1 ->
-      List.iteri
-        (fun j p2 ->
-          let tag op = Printf.sprintf "%s %d~%d" op i j in
-          let oracle_cos = Textsim.Profile.cosine (fresh p1) (fresh p2) in
-          (* both sides interned against a shared dictionary *)
-          let a = fresh p1 and b = fresh p2 in
-          let dict = Textsim.Gram_dict.of_grams (grams_of a @ grams_of b) in
-          Textsim.Profile.intern dict a;
-          Textsim.Profile.intern dict b;
-          check_bits (tag "cosine interned") oracle_cos (Textsim.Profile.cosine a b);
-          (* one-sided: only [d] is interned (and complete — the dict is
-             its own vocabulary); the dispatch interns [c] on the fly *)
-          let c = fresh p1 and d = fresh p2 in
-          let dict2 = Textsim.Gram_dict.of_grams (grams_of d) in
-          Textsim.Profile.intern dict2 d;
-          check_bits (tag "cosine one-sided") oracle_cos (Textsim.Profile.cosine c d))
-        profiles)
-    (List.map Textsim.Profile.of_strings corpus)
-
-(* Two profiles interned against different dictionaries that are both
-   incomplete for the other's grams must fall back to the string path,
-   not silently drop shared out-of-vocabulary grams. *)
-let test_incomplete_fallback () =
-  let p1 = Textsim.Profile.of_strings [ "shared gram soup"; "alpha" ] in
-  let p2 = Textsim.Profile.of_strings [ "shared gram soup"; "omega" ] in
-  let oracle = Textsim.Profile.cosine (fresh p1) (fresh p2) in
-  let a = fresh p1 and b = fresh p2 in
-  (* dictionary built from an unrelated profile: both sides incomplete *)
-  let dict = Textsim.Gram_dict.of_grams (grams_of (Textsim.Profile.of_strings [ "zzz" ])) in
-  Textsim.Profile.intern dict a;
-  Textsim.Profile.intern dict b;
-  check_bits "incomplete dictionaries fall back" oracle (Textsim.Profile.cosine a b);
-  Alcotest.(check bool) "oracle is non-trivial" true (oracle > 0.0)
 
 (* --- inverted index ---------------------------------------------------- *)
 
@@ -84,7 +38,7 @@ let test_index_scores () =
   let targets, index, candidates = index_fixture () in
   List.iteri
     (fun ci cand ->
-      let scores, touched = Textsim.Gram_index.scores index (fresh cand) in
+      let scores, touched = Textsim.Gram_index.scores index cand in
       Alcotest.(check int) "one score per target" (Array.length targets) (Array.length scores);
       Alcotest.(check bool) "touched within range" true
         (touched >= 0 && touched <= Array.length targets);
@@ -92,7 +46,7 @@ let test_index_scores () =
         (fun s tgt ->
           check_bits
             (Printf.sprintf "cand %d vs target %d" ci s)
-            (Textsim.Profile.cosine (fresh cand) (fresh tgt))
+            (Textsim.Profile.cosine cand tgt)
             scores.(s))
         targets)
     candidates;
@@ -111,7 +65,7 @@ let kernel_of targets =
    target, then filter by [tau], sort (score desc, slot asc), take [k]. *)
 let exhaustive_top_k targets cand ~k ~tau =
   Array.to_list targets
-  |> List.mapi (fun i t -> (i, Textsim.Profile.cosine (fresh cand) (fresh t)))
+  |> List.mapi (fun i t -> (i, Textsim.Profile.cosine cand t))
   |> List.filter (fun (_, s) -> s >= tau)
   |> List.sort (fun (i, a) (j, b) ->
          let c = Float.compare b a in
@@ -575,7 +529,7 @@ let qcheck_compose =
           Oracle.Strings.profile (sub_strings part.Matching.Profile_cache.part_indices.(s))
         in
         let boxed =
-          Textsim.Profile.of_counts ~q:3
+          Textsim.Profile.of_counts
             (List.concat_map (fun s -> Array.to_list (Textsim.Profile.counts (group s))) slots
             |> List.sort (fun (a, _) (b, _) -> String.compare a b)
             |> List.fold_left
@@ -593,14 +547,14 @@ let qcheck_compose =
                slots)
         in
         let probe = Textsim.Profile.of_strings [ "abc ea bdbd" ] in
-        let oracle_cos = Printf.sprintf "%h" (Textsim.Profile.cosine (fresh raw) probe) in
+        let oracle_cos = Printf.sprintf "%h" (Textsim.Profile.cosine raw probe) in
         composed_counts = Textsim.Profile.counts boxed
         && composed_counts = Textsim.Profile.counts raw
         && composed.Matching.Profile_cache.vc_total = Textsim.Profile.total raw
         && Printf.sprintf "%h" composed.Matching.Profile_cache.vc_norm
            = Printf.sprintf "%h" (Textsim.Profile.norm raw)
         && Printf.sprintf "%h"
-             (Textsim.Profile.cosine (Textsim.Profile.of_counts ~q:3 composed_counts) probe)
+             (Textsim.Profile.cosine (Textsim.Profile.of_counts composed_counts) probe)
            = oracle_cos
         && Printf.sprintf "%h"
              (Matching.Profile_cache.cosine composed
@@ -789,11 +743,6 @@ let test_view_column_key () =
 let () =
   Alcotest.run "perf_kernel"
     [
-      ( "interned",
-        [
-          Alcotest.test_case "pairwise bit-identity" `Quick test_interned_pairwise;
-          Alcotest.test_case "incomplete fallback" `Quick test_incomplete_fallback;
-        ] );
       ( "index",
         [
           Alcotest.test_case "batch scores bit-identical" `Quick test_index_scores;

@@ -179,7 +179,7 @@ let test_topk_exact_tie () =
     Alcotest.(check int) "second slot" 1 s1;
     Alcotest.(check bool) "scores tied" true (c0 = c1)
   | _ -> Alcotest.fail "expected exactly k hits");
-  (* the same tie through the interned kernel: column id order *)
+  (* the same tie through the kernel: target slot order *)
   let col name =
     ( ("t", name),
       Textsim.Profile.of_strings [ "alpha beta" ] )

@@ -40,7 +40,6 @@ let test_roundtrip () =
   (match Store.find_profile s2 (key ~table:"T" ~attr:"a") with
   | None -> Alcotest.fail "profile lost"
   | Some p2 ->
-    Alcotest.(check int) "q" (Textsim.Profile.q p) (Textsim.Profile.q p2);
     Alcotest.(check int) "total" (Textsim.Profile.total p) (Textsim.Profile.total p2);
     Alcotest.(check bool) "counts identical" true
       (Textsim.Profile.counts p = Textsim.Profile.counts p2);
@@ -154,6 +153,27 @@ let test_stale_format_version () =
             (Printf.sprintf "ctxstore %d shard 0/8" (Store.format_version + 1));
           Out_channel.output_string oc
             (String.sub text nl (String.length text - nl))))
+
+(* Profiles are 3-gram profiles: a record of any other gram size is
+   corrupt, and quarantines its shard like any other damage. *)
+let test_foreign_gram_size () =
+  in_temp_dir @@ fun dir ->
+  check_quarantined ~expect_issue:true dir (fun path ->
+      let lines = String.split_on_char '\n' (In_channel.with_open_bin path In_channel.input_all) in
+      let rewritten = ref false in
+      let lines =
+        List.map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ "P"; addr; "3"; total; n ] when not !rewritten ->
+              rewritten := true;
+              String.concat " " [ "P"; addr; "4"; total; n ]
+            | _ -> line)
+          lines
+      in
+      Alcotest.(check bool) "a profile record rewritten" true !rewritten;
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.concat "\n" lines)))
 
 let test_stale_index_quarantines_all () =
   in_temp_dir @@ fun dir ->
@@ -502,6 +522,7 @@ let () =
           Alcotest.test_case "garbage shard quarantined" `Quick test_garbage_shard;
           Alcotest.test_case "stale format version quarantined" `Quick
             test_stale_format_version;
+          Alcotest.test_case "foreign gram size quarantined" `Quick test_foreign_gram_size;
           Alcotest.test_case "stale index quarantines all" `Quick
             test_stale_index_quarantines_all;
           Alcotest.test_case "readonly never writes" `Quick test_readonly_never_writes;
