@@ -337,7 +337,6 @@ let store_verify_cmd_run dir json =
               ("corrupt", Serve.Json.Int r.Store.vr_corrupt);
               ("quarantined", Serve.Json.Int r.Store.vr_quarantined);
               ("tmp", Serve.Json.Int r.Store.vr_tmp);
-              ("deltas", Serve.Json.Int r.Store.vr_deltas);
               ("index_ok", Serve.Json.Bool r.Store.vr_index_ok);
               ("healthy", Serve.Json.Bool (Store.verify_healthy r));
             ]))
@@ -350,9 +349,9 @@ let store_verify_cmd_run dir json =
           (if e.Store.ve_detail = "" then "" else Printf.sprintf " (%s)" e.Store.ve_detail))
       r.Store.vr_entries;
     Printf.printf
-      "# store-verify: %d clean, %d truncated, %d corrupt, %d quarantined, %d tmp, %d deltas, index %s\n"
+      "# store-verify: %d clean, %d truncated, %d corrupt, %d quarantined, %d tmp, index %s\n"
       r.Store.vr_clean r.Store.vr_truncated r.Store.vr_corrupt r.Store.vr_quarantined
-      r.Store.vr_tmp r.Store.vr_deltas
+      r.Store.vr_tmp
       (if r.Store.vr_index_ok then "ok" else "corrupt")
   end;
   if not (Store.verify_healthy r) then
@@ -774,7 +773,7 @@ let store_verify_cmd =
       & info [ "json" ]
           ~doc:
             "Emit the audit as one JSON object (per-file entries plus \
-             classification counts, delta-record count and index state) \
+             classification counts and index state) \
              instead of the human listing.  The exit code is unchanged.")
   in
   Cmd.v (Cmd.info "store-verify" ~doc ~man) Term.(const store_verify_cmd_run $ dir $ json)

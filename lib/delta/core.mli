@@ -3,8 +3,7 @@
     A delta is a set of appended rows plus a set of deleted row indices
     (interpreted against the {e old} table, before any append).  This is
     the unit the incremental-maintenance layer patches profiles, distinct
-    sets, norms and the inverted index by — O(delta) instead of O(table)
-    — and the unit [Store.delta_record] persists. *)
+    sets, norms and the inverted index by — O(delta) instead of O(table). *)
 
 type t
 
@@ -27,8 +26,7 @@ val validate : t -> Relational.Table.t -> (unit, string) result
     the table the delta claims to apply to. *)
 
 val deleted_rows : t -> Relational.Table.t -> Relational.Value.t array array
-(** Snapshot of the rows the delta removes (read from the old table),
-    for invertible persistence. *)
+(** The rows the delta removes, read from the old table. *)
 
 val apply : t -> Relational.Table.t -> Relational.Table.t
 (** Pure application: surviving rows in their original order, appended

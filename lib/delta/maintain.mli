@@ -12,12 +12,13 @@
     bit-identical match results, which is the differential suite's
     central claim.
 
-    With a store, each patch records a {!Store.delta_record} chaining
-    the new table digest off the old one; chains are folded back into a
-    base snapshot ([Store.compact_deltas]) after 32 patches and on
-    every rebuild.  Updates pass the
-    [Robust.Fault.Delta_apply] site (key ["table:generation"]) before
-    touching any state. *)
+    With a store, an update persists only artefacts: either path
+    writes the changed table's artefacts through under its new
+    {!Store.table_digest}, so a restarted process warms from the
+    updated state.  Updates pass the [Robust.Fault.Delta_apply] site
+    (key ["table:generation"]) before touching any state; an exception
+    raised later, by the patch or the rebuild (a [Memo_lookup] fault,
+    say), restores the table's maintained state before it escapes. *)
 
 type outcome =
   | Patched  (** O(delta) patch of profiles, index and artefact *)
@@ -34,17 +35,19 @@ val create :
   unit ->
   t
 (** Take over maintenance of [prepared] (built over [target]).  Scans
-    each table once to seed the maintained state.  [kernel] must match
-    the flag [prepared] was built with (it governs rebuilds).  [churn]
-    (default 0.25) is the patch/rebuild threshold on
+    each table once to seed the maintained state.  [store] and
+    [kernel] must match what [prepared] was built with (they govern
+    rebuilds; a patch writes through the store [prepared] carries).
+    [churn] (default 0.25) is the patch/rebuild threshold on
     {!Core.churn}. *)
 
 val update : t -> Core.t -> (outcome, string) result
 (** Apply one delta: validate, pass the fault site, then patch or
     rebuild (see above).  [Error] on an unknown table or a delta that
     fails {!Core.validate} — the state is unchanged.  An escaping
-    exception (e.g. an injected fault) also leaves the previous
-    generation fully intact. *)
+    exception (an injected fault at either site, say) also leaves the
+    previous generation fully intact: target, artefact, generation and
+    maintained state. *)
 
 val prepared : t -> Matching.Standard_match.prepared_target
 (** The current generation's artefact. *)
@@ -54,5 +57,3 @@ val target : t -> Relational.Database.t
 
 val generation : t -> int
 (** Successful updates so far (0 at creation). *)
-
-val profiles : t -> string -> Profiles.t option

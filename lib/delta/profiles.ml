@@ -8,17 +8,12 @@ open Relational
    before. *)
 type attr_state = {
   a_attr : string;
-  a_numeric : bool;
   a_grams : (string, int) Hashtbl.t option;
   a_distinct : (string, int) Hashtbl.t option;
   a_words : (string, int) Hashtbl.t option;
 }
 
-type t = {
-  mutable p_table : Table.t;
-  mutable p_digest : string option;
-  p_attrs : attr_state list;
-}
+type t = { mutable p_table : Table.t; p_attrs : attr_state list }
 
 let multiset_add h s = Hashtbl.replace h s (1 + Option.value ~default:0 (Hashtbl.find_opt h s))
 
@@ -66,7 +61,6 @@ let create table =
         let int_distinct = attr.Attribute.ty = Value.Tint in
         {
           a_attr = name;
-          a_numeric = Attribute.is_numeric attr;
           a_grams = (if textual then Some (Hashtbl.create 256) else None);
           a_distinct =
             (if textual || int_distinct then Some (Hashtbl.create 64) else None);
@@ -74,20 +68,11 @@ let create table =
         })
       (Schema.attribute_names schema)
   in
-  let t = { p_table = table; p_digest = None; p_attrs = attrs } in
+  let t = { p_table = table; p_attrs = attrs } in
   Array.iter (fold_row t schema 1) (Table.rows table);
   t
 
 let table t = t.p_table
-let name t = Table.name t.p_table
-
-let digest t =
-  match t.p_digest with
-  | Some d -> d
-  | None ->
-    let d = Store.table_digest t.p_table in
-    t.p_digest <- Some d;
-    d
 
 let apply t delta =
   (match Core.validate delta t.p_table with
@@ -99,7 +84,6 @@ let apply t delta =
   Array.iter (fold_row t schema (-1)) removed;
   Array.iter (fold_row t schema 1) (Core.appends delta);
   t.p_table <- new_table;
-  t.p_digest <- None;
   if !Obs.Recorder.enabled then begin
     Obs.Metrics.incr "delta.applied";
     Obs.Metrics.add "delta.rows" (Core.size delta)
@@ -113,19 +97,6 @@ let distinct t attr =
   Option.bind (attr_state t attr) (fun a -> Option.map multiset_keys a.a_distinct)
 
 let words t attr = Option.bind (attr_state t attr) (fun a -> Option.map multiset_keys a.a_words)
-
-(* Recomputed over the current rows with the cold path's exact fold
-   ([Column.floats] then [summarize]): float summaries are not an
-   invertible integer algebra, and the recompute is cheap relative to
-   re-tokenization. *)
-let summary t attr =
-  match attr_state t attr with
-  | Some a when a.a_numeric ->
-    Some
-      (Stats.Descriptive.summarize
-         (Array.to_list (Table.column t.p_table attr)
-         |> List.filter_map Value.to_float |> Array.of_list))
-  | Some _ | None -> None
 
 let column_patches t =
   List.map

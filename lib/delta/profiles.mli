@@ -14,9 +14,9 @@
     out with exact integer increments and decrements, so after any
     append/delete interleaving the maintained state equals — bag for
     bag, hence score for score, bit for bit — a cold scan of the
-    surviving rows.  The one exception is the numeric {!summary}, which
-    is not an invertible integer algebra and is recomputed over the
-    current rows with the cold path's exact fold. *)
+    surviving rows.  Numeric summaries are not an invertible integer
+    algebra and are not maintained: the patched column recomputes its
+    summary over the current rows with the cold path's exact fold. *)
 
 type t
 
@@ -32,12 +32,6 @@ val apply : t -> Core.t -> unit
 val table : t -> Relational.Table.t
 (** The current (post-delta) table. *)
 
-val name : t -> string
-
-val digest : t -> string
-(** {!Store.table_digest} of the current table, computed lazily and
-    cached until the next {!apply}. *)
-
 val profile : t -> string -> Textsim.Profile.t option
 (** The q-gram profile of a textual attribute's maintained gram
     counts ({!Textsim.Profile.of_counts}).  [None] for unknown or
@@ -48,9 +42,6 @@ val distinct : t -> string -> string list option
 
 val words : t -> string -> string list option
 (** Distinct word tokens, sorted — textual attributes. *)
-
-val summary : t -> string -> Stats.Descriptive.summary option
-(** Numeric summary over the current rows (recomputed, see above). *)
 
 val column_patches : t -> Matching.Standard_match.column_patch list
 (** The maintained artefacts of every attribute, shaped for

@@ -7,7 +7,6 @@ type composed = {
 }
 
 type t = {
-  owner : string;
   attribute : Attribute.t;
   values : Value.t array;
   (* when present, lazy artefacts are shared through the cache under
@@ -27,9 +26,8 @@ type t = {
   mutable words_memo : string list option;
 }
 
-let make ?cache ?composed ~owner attribute values =
+let make ?cache ?composed attribute values =
   {
-    owner;
     attribute;
     values;
     cache;
@@ -61,14 +59,11 @@ let of_table ?cache table attr_name =
       cache
   in
   {
-    (make ?cache ~owner:(Table.name table)
-       (Schema.attribute (Table.schema table) attr_name)
-       (Table.column table attr_name))
+    (make ?cache (Schema.attribute (Table.schema table) attr_name) (Table.column table attr_name))
     with
     coded = Some coded;
   }
 
-let owner t = t.owner
 let attribute t = t.attribute
 let name t = t.attribute.Attribute.name
 let values t = t.values
@@ -256,15 +251,13 @@ let view_columns ?cache view =
         match groups with
         | Some (c, cond_attr, slots) when cond_attr <> attr_name ->
           if !Obs.Recorder.enabled then Obs.Metrics.incr "match.view_columns.composed";
-          make
-            ~composed:(compose c base cond_attr attr_name slots)
-            ~owner:(View.name view) attribute values
+          make ~composed:(compose c base cond_attr attr_name slots) attribute values
         | Some _ | None ->
           if !Obs.Recorder.enabled then Obs.Metrics.incr "match.view_columns.scanned";
           let cache =
             Option.map (fun c -> (c, (Table.name base, attr_name, Lazy.force subset))) cache
           in
-          make ?cache ~owner:(View.name view) attribute values
+          make ?cache attribute values
       in
       Hashtbl.add cols attr_name c;
       c

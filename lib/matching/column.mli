@@ -27,7 +27,6 @@ type composed = {
 val make :
   ?cache:Profile_cache.t * Profile_cache.key ->
   ?composed:composed ->
-  owner:string ->
   Attribute.t ->
   Value.t array ->
   t
@@ -65,7 +64,6 @@ val composed : t -> composed option
 (** The id-space artefacts of a composed view column; [None] for every
     other column. *)
 
-val owner : t -> string
 val attribute : t -> Attribute.t
 val name : t -> string
 (** Attribute name. *)

@@ -489,10 +489,6 @@ let misses t =
   Runtime.Memo.misses t.profiles + Runtime.Memo.misses t.summaries
   + Runtime.Memo.misses t.distincts
 
-let hit_rate t =
-  let total = hits t + misses t in
-  if total = 0 then 0.0 else float_of_int (hits t) /. float_of_int total
-
 type stats = { stat_hits : int; stat_misses : int; stat_entries : int }
 
 let stats t =

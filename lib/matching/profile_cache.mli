@@ -278,5 +278,3 @@ type stats = { stat_hits : int; stat_misses : int; stat_entries : int }
 val stats : t -> stats
 (** Hit/miss counters and total entry count summed over the three
     tables, for run summaries and the observability exporters. *)
-
-val hit_rate : t -> float

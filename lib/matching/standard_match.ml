@@ -71,7 +71,6 @@ let filter_of_string spec =
     | _ -> bad "too many fields")
   | _ -> bad "unknown spec"
 
-let source m = m.source_db
 let target m = m.target_db
 let profile_cache m = m.cache
 let kernel_enabled m = m.kernel <> None
@@ -213,7 +212,7 @@ type column_patch = {
    (it cannot grow); the caller must [prepare_target] cold.  The
    original artefact is never mutated, so concurrent readers of the old
    generation stay valid and a failed patch leaves no trace. *)
-let patch_prepared ?store prepared ~table ?digest ~patches () =
+let patch_prepared prepared ~table ~patches () =
   Obs.Trace.with_span "patch_prepared" @@ fun () ->
   let table_name = Table.name table in
   let kernel_updates =
@@ -237,24 +236,19 @@ let patch_prepared ?store prepared ~table ?digest ~patches () =
   | Some pt_kernel ->
     let new_db = Database.replace_table prepared.pt_target_db table in
     let new_cache = Profile_cache.create () in
-    let store =
-      match store with Some _ -> store | None -> prepared.pt_cache.Profile_cache.store
-    in
-    (match store with
+    (match prepared.pt_cache.Profile_cache.store with
     | None -> ()
     | Some s ->
       Profile_cache.attach_store new_cache s;
+      (* unchanged tables keep their digests; the patched table is
+         digested from its new rows *)
       List.iter
         (fun tbl ->
           let name = Table.name tbl in
-          if String.equal name table_name then begin
-            let d = match digest with Some d -> d | None -> Store.table_digest tbl in
+          match Profile_cache.table_digest prepared.pt_cache name with
+          | Some d when not (String.equal name table_name) ->
             Profile_cache.register_digest new_cache ~table:name ~digest:d
-          end
-          else
-            match Profile_cache.table_digest prepared.pt_cache name with
-            | Some d -> Profile_cache.register_digest new_cache ~table:name ~digest:d
-            | None -> Profile_cache.register_table new_cache tbl)
+          | Some _ | None -> Profile_cache.register_table new_cache tbl)
         (Database.tables new_db));
     (* Seed the maintained artefacts under the full-range keys
        [Column.of_table] registers, so warming the rebuilt columns hits

@@ -63,20 +63,19 @@ type column_patch = {
     summaries — the recompute runs the cold path's exact fold). *)
 
 val patch_prepared :
-  ?store:Store.t ->
   prepared_target ->
   table:Table.t ->
-  ?digest:string ->
   patches:column_patch list ->
   unit ->
   prepared_target option
 (** Rebuild a prepared target around one replaced [table] in O(delta):
-    the scoring kernel's touched postings are patched in place
-    ({!Score_kernel.patch}), the maintained artefacts in [patches] are
-    seeded into a fresh target cache under the keys the new columns
-    read (and written through to the store, registered under [digest]
-    — computed from the rows when omitted), and columns of unchanged
-    tables are reused verbatim.  Column order and the original warm
+    the scoring kernel's touched postings are rebuilt and the rest
+    copied ({!Score_kernel.patch}), the maintained artefacts in
+    [patches] are seeded into a fresh target cache under the keys the
+    new columns read (and, when the artefact was prepared with a
+    store, written through to that store under the new rows'
+    {!Store.table_digest}), and columns of unchanged tables are reused
+    verbatim.  Column order and the original warm
     quarantine ({!prepared_issues}) are preserved, so a build over the
     patched artefact is bit-identical to one over a cold
     {!prepare_target} of the same database.  [None] when the new rows
@@ -161,7 +160,6 @@ val build :
     [kernel] switch and [jobs], and with a full-width [k] and [tau = 0]
     the filter keeps every pair, bit for bit. *)
 
-val source : model -> Database.t
 val target : model -> Database.t
 
 val profile_cache : model -> Profile_cache.t

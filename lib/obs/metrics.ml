@@ -165,8 +165,6 @@ let snapshot () =
 let counter_value snap name =
   Option.value ~default:0 (List.assoc_opt name snap.counters)
 
-let gauge_value snap name = List.assoc_opt name snap.gauges
-
 let histogram snap name = List.assoc_opt name snap.histograms
 
 let reset () =

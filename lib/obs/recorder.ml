@@ -24,8 +24,6 @@ let next_id = ref 0
    same run are comparable across machines and repetitions. *)
 let ordinals : (string, int) Hashtbl.t = Hashtbl.create 64
 
-let is_enabled () = !enabled
-
 let enable () =
   Mutex.lock mutex;
   if not !enabled then begin

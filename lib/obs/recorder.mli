@@ -30,8 +30,6 @@ val enabled : bool ref
 (** The hot-path guard; read it directly ([!Obs.Recorder.enabled]) in
     instrumentation sites.  Mutate through {!enable}/{!disable}. *)
 
-val is_enabled : unit -> bool
-
 val enable : unit -> unit
 (** Switch recording on; fixes the epoch on first use. *)
 

@@ -18,5 +18,3 @@ let issues t =
   l
 
 let count t = t.n
-let is_empty t = t.n = 0
-let to_string t = String.concat "\n" (List.map Error.to_string (issues t))

@@ -26,7 +26,3 @@ val issues : t -> Error.t list
 (** In recording order. *)
 
 val count : t -> int
-val is_empty : t -> bool
-
-val to_string : t -> string
-(** One {!Error.to_string} line per issue. *)

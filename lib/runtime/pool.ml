@@ -209,8 +209,6 @@ let parallel_init_results t ?(deadline = Robust.Deadline.none) n f =
     Array.map (function Some v -> v | None -> assert false) results
   end
 
-let map_array t f arr = parallel_init t (Array.length arr) (fun i -> f arr.(i))
-
 let map_array_results t ?deadline f arr =
   parallel_init_results t ?deadline (Array.length arr) (fun i -> f arr.(i))
 

@@ -52,7 +52,6 @@ val parallel_init_results :
     [Error (Robust.Deadline.Expired _)] without being computed —
     deadline placement is the one timing-dependent part. *)
 
-val map_array : t -> ('a -> 'b) -> 'a array -> 'b array
 val map_list : t -> ('a -> 'b) -> 'a list -> 'b list
 val mapi_list : t -> (int -> 'a -> 'b) -> 'a list -> 'b list
 val concat_map_list : t -> ('a -> 'b list) -> 'a list -> 'b list
@@ -62,7 +61,7 @@ val map_array_results :
 
 val map_list_results :
   t -> ?deadline:Robust.Deadline.t -> ('a -> 'b) -> 'a list -> ('b, exn) result list
-(** Fault-contained counterparts of [map_array] / [map_list]; see
+(** Fault-contained counterparts of {!parallel_init} / [map_list]; see
     {!parallel_init_results}. *)
 
 val get : jobs:int -> t

@@ -43,6 +43,17 @@
     write faults with the affected shard still marked dirty, so a
     later flush retries with the full payload.
 
+    {2 What a live-target update persists}
+
+    Nothing but artefacts: a patched table registers under its new
+    {!table_digest}, and its columns' artefacts are written through
+    under that digest like any other, so a restarted process warms
+    from the patched state.  Shards written before the delta log was
+    removed may hold delta records (kind [X]); the parser checks their
+    line structure, counts them against the END footer and drops
+    them, so such a shard opens and verifies clean and loses its
+    records the next time it is written.
+
     {2 Interner independence}
 
     Profiles are serialised by gram {e string}
@@ -101,48 +112,6 @@ val add_summary : t -> key -> Stats.Descriptive.summary -> unit
 val add_distinct : t -> key -> string list -> unit
 (** No-ops on a read-only store. *)
 
-(** {2 Delta records}
-
-    A delta record chains one table mutation off the content-addressed
-    base: it names the digest it consumed ([dr_from]) and the digest it
-    produced ([dr_to], which addresses the record), the appended rows,
-    the deleted row indices and a snapshot of the deleted rows (so the
-    mutation is invertible without the old table at hand).  Records ride
-    the same shards, atomic flushes and END-canary crash discipline as
-    every other artefact; {!verify} counts them per directory.
-    {!compact_deltas} folds a chain back into a base snapshot — the
-    per-artefact entries of the head state were written through when it
-    was built, so dropping the intermediate records loses nothing. *)
-
-type delta_record = {
-  dr_table : string;  (** table name *)
-  dr_from : string;  (** {!table_digest} the delta applies to *)
-  dr_to : string;  (** {!table_digest} the delta produces (the record's address) *)
-  dr_from_rows : int;  (** row count of the [dr_from] table *)
-  dr_appends : Relational.Value.t array array;
-  dr_deletes : int array;  (** deleted row indices, ascending *)
-  dr_deleted_rows : Relational.Value.t array array;  (** the rows removed *)
-}
-
-val add_delta : t -> delta_record -> unit
-(** Record a delta under [(dr_table, dr_to)].  No-op on a read-only
-    store; idempotent per address. *)
-
-val find_delta : t -> table:string -> data:string -> delta_record option
-(** The delta that produced [data] for [table], if recorded. *)
-
-val delta_chain : t -> table:string -> data:string -> delta_record list
-(** The chain ending at [data], oldest first, following [dr_from]
-    pointers backward; bounded against cycles and pathological depth.
-    Empty when [data] is a base snapshot (no delta produced it). *)
-
-val remove_delta : t -> table:string -> data:string -> unit
-
-val compact_deltas : t -> table:string -> data:string -> int
-(** Drop every record of the chain ending at [data], returning how many
-    were removed.  Call after the head state's artefacts have been
-    written through — the head then stands as a plain base snapshot. *)
-
 val flush : t -> unit
 (** Write every dirty shard back (temp file + atomic rename) and
     refresh the index.  No-op on a read-only store; untouched shards
@@ -192,7 +161,6 @@ type verify_report = {
   vr_corrupt : int;
   vr_quarantined : int;
   vr_tmp : int;  (** leftover temp files (harmless) *)
-  vr_deltas : int;  (** delta records across clean shards *)
   vr_index_ok : bool;  (** index absent-or-parseable *)
 }
 

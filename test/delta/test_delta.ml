@@ -9,10 +9,11 @@
    full ContextMatch runs (jobs x kernel x warm/cold store), and the
    serve daemon's update-target against re-registering from scratch.
    The rest covers what the maintenance layer additionally owes its
-   callers: rebuild fallbacks that preserve the identity, persisted
-   delta chains that survive flush/reopen and fold away under
-   compaction, crash damage that quarantines without wrong answers,
-   and injected faults that leave the previous generation intact. *)
+   callers: rebuild fallbacks that preserve the identity, patched
+   artefacts that survive flush/reopen, crash damage that quarantines
+   without wrong answers, stores holding the delta records older
+   versions wrote, and injected faults that leave the previous
+   generation intact. *)
 
 open Relational
 
@@ -192,16 +193,11 @@ let check_profiles_cold msg live cold_table =
         Alcotest.(check (list string)) (Printf.sprintf "%s: distinct %s" msg attr) b a
       | None, None -> ()
       | _ -> Alcotest.failf "%s: distinct presence differs for %s" msg attr);
-      (match (Delta.Profiles.words live attr, Delta.Profiles.words cold attr) with
+      match (Delta.Profiles.words live attr, Delta.Profiles.words cold attr) with
       | Some a, Some b ->
         Alcotest.(check (list string)) (Printf.sprintf "%s: words %s" msg attr) b a
       | None, None -> ()
-      | _ -> Alcotest.failf "%s: words presence differs for %s" msg attr);
-      match (Delta.Profiles.summary live attr, Delta.Profiles.summary cold attr) with
-      | Some a, Some b ->
-        Alcotest.(check bool) (Printf.sprintf "%s: summary %s bit-identical" msg attr) true (a = b)
-      | None, None -> ()
-      | _ -> Alcotest.failf "%s: summary presence differs for %s" msg attr)
+      | _ -> Alcotest.failf "%s: words presence differs for %s" msg attr)
     [ "id"; "name"; "cat"; "price" ]
 
 let test_profiles_match_cold () =
@@ -222,10 +218,7 @@ let test_profiles_match_cold () =
       ~deletes:[| 0; 1; 2; 4 |]
   in
   Delta.Profiles.apply live d2;
-  check_profiles_cold "after delta 2" live (Delta.Profiles.table live);
-  Alcotest.(check string) "digest tracks the current rows"
-    (Store.table_digest (Delta.Profiles.table live))
-    (Delta.Profiles.digest live)
+  check_profiles_cold "after delta 2" live (Delta.Profiles.table live)
 
 (* A condition value whose every row is deleted leaves no partition
    group over the maintained table, so no family counts a phantom
@@ -443,105 +436,170 @@ let test_maintain_fault_containment () =
   expect_patched m d;
   Alcotest.(check int) "retry succeeds" 1 (Delta.Maintain.generation m)
 
-(* --- persisted delta chains --------------------------------------------- *)
+(* A fault after the maintained state has taken the delta (here a memo
+   probe while [patch_prepared] seeds and re-warms the patched columns)
+   must not leave the delta half applied: the update raises with
+   nothing advanced, and a retry of the same delta applies it once,
+   landing on the matches of a cold run over the intended table. *)
+let test_maintain_failed_patch () =
+  let prepared = Matching.Standard_match.prepare_target ~target:target_db () in
+  let m = Delta.Maintain.create ~target:target_db ~prepared () in
+  let book = Database.table target_db "Book" in
+  let d = Delta.make ~table:"Book" ~appends:(copy_rows book [| 0 |]) ~deletes:[| 1; 2 |] in
+  (Robust.Fault.with_armed
+     [ { Robust.Fault.site = Robust.Fault.Memo_lookup; rate = 1.0; seed = 0 } ]
+     (fun () ->
+       match Delta.Maintain.update m d with
+       | exception Robust.Fault.Injected { site = Robust.Fault.Memo_lookup; _ } -> ()
+       | Ok _ -> Alcotest.fail "armed fault did not fire"
+       | Error e -> Alcotest.failf "unexpected rejection: %s" e));
+  Alcotest.(check int) "no generation consumed" 0 (Delta.Maintain.generation m);
+  Alcotest.(check int) "target untouched" (Table.row_count book)
+    (Table.row_count (Database.table (Delta.Maintain.target m) "Book"));
+  expect_patched m d;
+  let intended = Database.replace_table target_db (Delta.apply d book) in
+  Alcotest.(check int) "retry applies the delta once"
+    (Table.row_count (Database.table intended "Book"))
+    (Table.row_count (Database.table (Delta.Maintain.target m) "Book"));
+  let want, want_issues = match_strings ~target:intended () in
+  let got, got_issues = match_strings ~prepared:(Delta.Maintain.prepared m) ~target:intended () in
+  Alcotest.(check (list string)) "retried matches = cold" want got;
+  Alcotest.(check (list string)) "retried issues = cold" want_issues got_issues
 
-let sample_record ~table ~from_ ~to_ =
-  {
-    Store.dr_table = table;
-    dr_from = from_;
-    dr_to = to_;
-    dr_from_rows = 10;
-    dr_appends =
-      [|
-        [| Value.Int 1; Value.String "weird \"x\"\nnewline|pipe"; Value.Float 2.5 |];
-        [| Value.Null; Value.Bool true; Value.Float (-0.0) |];
-      |];
-    dr_deletes = [| 2; 7 |];
-    dr_deleted_rows =
-      [|
-        [| Value.Int 9; Value.String ""; Value.Float 1e100 |];
-        [| Value.Null; Value.String "plain"; Value.Int (-3) |];
-      |];
-  }
+(* --- what a patch persists ------------------------------------------------ *)
 
-let test_store_delta_roundtrip () =
-  in_temp_dir @@ fun dir ->
-  let s = Store.open_dir dir in
-  let r1 = sample_record ~table:"T" ~from_:"digA" ~to_:"digB" in
-  let r2 = sample_record ~table:"T" ~from_:"digB" ~to_:"digC" in
-  Store.add_delta s r1;
-  Store.add_delta s r2;
-  Store.flush s;
-  (* the standalone audit counts the records without opening the store *)
-  let report = Store.verify dir in
-  Alcotest.(check int) "verify counts deltas" 2 report.Store.vr_deltas;
-  Alcotest.(check bool) "store healthy" true (Store.verify_healthy report);
-  let s2 = Store.open_dir dir in
-  (match Store.find_delta s2 ~table:"T" ~data:"digB" with
-  | None -> Alcotest.fail "delta record lost"
-  | Some r -> Alcotest.(check bool) "record roundtrips bit for bit" true (r = r1));
-  Alcotest.(check bool) "absent record misses" true
-    (Store.find_delta s2 ~table:"T" ~data:"digZ" = None);
-  (* chain walk: oldest first *)
-  (match Store.delta_chain s2 ~table:"T" ~data:"digC" with
-  | [ a; b ] ->
-    Alcotest.(check bool) "chain ordered oldest-first" true (a = r1 && b = r2)
-  | l -> Alcotest.failf "chain length %d" (List.length l));
-  (* compaction folds the whole chain away, durably *)
-  Alcotest.(check int) "compaction removes the chain" 2
-    (Store.compact_deltas s2 ~table:"T" ~data:"digC");
-  Store.flush s2;
-  let s3 = Store.open_dir dir in
-  Alcotest.(check bool) "chain gone after reopen" true
-    (Store.delta_chain s3 ~table:"T" ~data:"digC" = []
-    && Store.find_delta s3 ~table:"T" ~data:"digB" = None)
-
-(* Delta then crash: a torn write truncates the shard holding the delta
-   record; verify reports it, reopening quarantines it, and matching
-   over the store still answers correctly (artefacts rebuild). *)
-let test_store_delta_crash () =
-  in_temp_dir @@ fun dir ->
+(* Patch Book once through a store at [dir], match the mutated target
+   over the store and flush; returns the mutated target.  The source
+   artefacts and the patched Book's are then on disk, so a run over the
+   mutated target from a fresh open of [dir] should build nothing. *)
+let patched_store dir =
   let store = Store.open_dir dir in
   let prepared = Matching.Standard_match.prepare_target ~store ~target:target_db () in
   let m = Delta.Maintain.create ~store ~target:target_db ~prepared () in
   let book = Database.table target_db "Book" in
   expect_patched m
     (Delta.make ~table:"Book" ~appends:(copy_rows book [| 0 |]) ~deletes:[| 1; 2 |]);
+  let mutated = Delta.Maintain.target m in
+  (* a match over the patched artefact stores the source's artefacts *)
+  ignore (match_strings ~store ~prepared:(Delta.Maintain.prepared m) ~target:mutated ());
+  Store.flush store;
+  mutated
+
+let run_over_store dir ~target =
+  let store = Store.open_dir dir in
+  let config = { Ctxmatch.Config.default with jobs = 1 } in
+  let infer = Ctxmatch.Context_match.infer_of `Src_class ~target in
+  let r = Ctxmatch.Context_match.run ~config ~store ~infer ~source:source_db ~target () in
+  (store, r)
+
+let test_store_patched_artefacts () =
+  in_temp_dir @@ fun dir ->
+  let mutated = patched_store dir in
+  let store, r = run_over_store dir ~target:mutated in
+  Alcotest.(check int) "patched artefacts persisted: no builds after reopen" 0
+    r.Ctxmatch.Context_match.profile_builds;
+  Alcotest.(check int) "nothing quarantined" 0 (Store.stats store).Store.st_quarantined;
+  let want, _ = match_strings ~target:mutated () in
+  Alcotest.(check (list string)) "warm matches = cold" want
+    (List.map Matching.Schema_match.to_string r.Ctxmatch.Context_match.matches)
+
+let shard_files dir =
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f ".dat")
+  |> List.sort String.compare
+
+let read_text path = In_channel.with_open_bin path In_channel.input_all
+
+(* Delta then crash: a torn write truncates a shard that the patch
+   wrote; verify reports it, reopening quarantines it, and matching
+   over the store still answers correctly (artefacts rebuild). *)
+let test_store_delta_crash () =
+  in_temp_dir @@ fun dir ->
+  let store = Store.open_dir dir in
+  let prepared = Matching.Standard_match.prepare_target ~store ~target:target_db () in
+  Store.flush store;
+  let before = List.map (fun f -> (f, read_text (Filename.concat dir f))) (shard_files dir) in
+  let m = Delta.Maintain.create ~store ~target:target_db ~prepared () in
+  let book = Database.table target_db "Book" in
+  expect_patched m
+    (Delta.make ~table:"Book" ~appends:(copy_rows book [| 0 |]) ~deletes:[| 1; 2 |]);
   Store.flush store;
   let mutated = Delta.Maintain.target m in
-  let digest = Store.table_digest (Database.table mutated "Book") in
-  Alcotest.(check bool) "delta record persisted" true
-    (Store.find_delta store ~table:"Book" ~data:digest <> None);
-  (* tear the shard that holds the delta record *)
-  let shard =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".dat")
-    |> List.find_opt (fun f ->
-           let text = In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all in
-           String.length text > 2
-           && (String.length text >= 2 && String.index_opt text 'X' <> None)
-           &&
-           let lines = String.split_on_char '\n' text in
-           List.exists (fun l -> String.length l > 2 && l.[0] = 'X' && l.[1] = ' ') lines)
+  (* tear a shard that the patch rewrote *)
+  let written =
+    List.filter
+      (fun f -> List.assoc_opt f before <> Some (read_text (Filename.concat dir f)))
+      (shard_files dir)
   in
-  (match shard with
-  | None -> Alcotest.fail "no shard holds the delta record"
-  | Some f ->
+  (match written with
+  | [] -> Alcotest.fail "the patch wrote no shard"
+  | f :: _ ->
     let path = Filename.concat dir f in
-    let text = In_channel.with_open_bin path In_channel.input_all in
+    let text = read_text path in
     Out_channel.with_open_bin path (fun oc ->
         Out_channel.output_string oc (String.sub text 0 (String.length text / 2))));
   let report = Store.verify dir in
   Alcotest.(check bool) "verify flags the torn shard" true (report.Store.vr_truncated >= 1);
   Alcotest.(check bool) "verify not healthy" true (not (Store.verify_healthy report));
-  let s2 = Store.open_dir dir in
-  ignore (Store.find_delta s2 ~table:"Book" ~data:digest);
-  ignore (Store.find_profile s2 { Store.table = "probe"; attr = "a"; subset = ""; data = "" });
+  let s2, _ = run_over_store dir ~target:mutated in
+  Alcotest.(check bool) "reopening quarantines the torn shard" true
+    ((Store.stats s2).Store.st_quarantined >= 1);
   (* matching over the damaged store still answers, identically to a
      storeless run *)
   let want, _ = match_strings ~target:mutated () in
   let got, _ = match_strings ~store:s2 ~target:mutated () in
   Alcotest.(check (list string)) "matches correct despite crash damage" want got
+
+(* A delta record as the store wrote them while it kept a delta log
+   (kind X: address, then table name and the from and to table digests
+   in hex, the old row count and the append and delete counts; then the
+   appended rows, the delete indices and the deleted rows), copied from
+   a store that patched Book as [patched_store] does. *)
+let legacy_record ~indices =
+  [
+    "X dbe7ed0939e1b20934fd0f22767d1cf4 426f6f6b "
+    ^ "3135353663633864613833313763633535663733303762303463306663376433 "
+    ^ "3932616333663539366266386165643831633866613764616462626566376237 60 1 2";
+    "R i1 s746865206d616e75736372697074206f66207468652070726f666573736f72 "
+    ^ "s70656e656c6f7065206669747a676572616c64 s736d697468736f6e207072657373 "
+    ^ "f4626608676221596071 i2000";
+    indices;
+    "Q i2 s6120706f727472616974206f662068616e64626f6f6b "
+    ^ "s6a6f6e617468616e20726176656e73776f6f64 "
+    ^ "s70656e6775696e20686f7573652065646974696f6e73 f4627508040525561317 i1966";
+    "Q i3 s616e2070726f666573736f7220746f20646574656374697665 "
+    ^ "s6d61726761726574206c6f636b68617274 s686172626f72206c616e65207072657373 "
+    ^ "f4617537879760175197 i1972";
+  ]
+
+(* A shard holding such a record opens with no quarantine, verifies
+   clean and keeps serving its other entries; a malformed record is
+   still corrupt. *)
+let test_store_legacy_deltas () =
+  in_temp_dir @@ fun dir ->
+  let mutated = patched_store dir in
+  let path = Filename.concat dir (List.hd (shard_files dir)) in
+  let lines = String.split_on_char '\n' (String.trim (read_text path)) in
+  let body = List.filteri (fun i _ -> i < List.length lines - 1) lines in
+  let n = Scanf.sscanf (List.nth lines (List.length lines - 1)) "END %d" Fun.id in
+  (* splice the record in before the END footer, counted there *)
+  let write_with record =
+    Out_channel.with_open_bin path (fun oc ->
+        List.iter
+          (fun l -> Out_channel.output_string oc (l ^ "\n"))
+          (body @ record @ [ Printf.sprintf "END %d" (n + 1) ]))
+  in
+  write_with (legacy_record ~indices:"I 1 2");
+  let report = Store.verify dir in
+  Alcotest.(check bool) "verify calls it clean" true
+    (Store.verify_healthy report && report.Store.vr_clean = List.length (shard_files dir));
+  let store, r = run_over_store dir ~target:mutated in
+  Alcotest.(check int) "opens with no quarantine" 0 (Store.stats store).Store.st_quarantined;
+  Alcotest.(check int) "other entries still hit: no builds" 0
+    r.Ctxmatch.Context_match.profile_builds;
+  write_with (legacy_record ~indices:"I 1");
+  Alcotest.(check int) "a record one delete index short is corrupt" 1
+    (Store.verify dir).Store.vr_corrupt
 
 (* --- the serve daemon's update surface ----------------------------------- *)
 
@@ -760,11 +818,13 @@ let () =
           Alcotest.test_case "store, no kernel" `Quick test_maintain_differential_store_nokernel;
           Alcotest.test_case "rebuild fallbacks" `Quick test_maintain_rebuild_fallbacks;
           Alcotest.test_case "fault containment" `Quick test_maintain_fault_containment;
+          Alcotest.test_case "failed patch leaves no trace" `Quick test_maintain_failed_patch;
         ] );
       ( "store-deltas",
         [
-          Alcotest.test_case "roundtrip, chain, compaction" `Quick test_store_delta_roundtrip;
+          Alcotest.test_case "patched artefacts persisted" `Quick test_store_patched_artefacts;
           Alcotest.test_case "delta then crash" `Quick test_store_delta_crash;
+          Alcotest.test_case "legacy delta records skipped" `Quick test_store_legacy_deltas;
         ] );
       ( "serve",
         [

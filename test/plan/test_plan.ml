@@ -191,8 +191,8 @@ let test_topk_exact_tie () =
     Alcotest.(check string) "kernel second" "b" n1
   | _ -> Alcotest.fail "kernel: expected exactly k hits"
 
-let mk_column ?(owner = "t") name ty values =
-  Matching.Column.make ~owner (Attribute.make name ty) (Array.of_list values)
+let mk_column name ty values =
+  Matching.Column.make (Attribute.make name ty) (Array.of_list values)
 
 (* A matcher whose raw score is NaN (or out of range) must never leak
    past Matcher.score: NaN poisons the z-normalised combination of

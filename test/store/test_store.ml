@@ -175,6 +175,31 @@ let test_foreign_gram_size () =
       Out_channel.with_open_bin path (fun oc ->
           Out_channel.output_string oc (String.concat "\n" lines)))
 
+(* A negative record count is corrupt like any other damage: the
+   shard verifies as corrupt and quarantines on open, and no
+   [Invalid_argument] from sizing the record escapes either path. *)
+let test_negative_count () =
+  in_temp_dir @@ fun dir ->
+  check_quarantined ~expect_issue:true dir (fun path ->
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      let lines = String.split_on_char '\n' text in
+      let rewritten = ref false in
+      let lines =
+        List.map
+          (fun line ->
+            match String.split_on_char ' ' line with
+            | [ "P"; addr; q; total; _ ] when not !rewritten ->
+              rewritten := true;
+              String.concat " " [ "P"; addr; q; total; "-1" ]
+            | _ -> line)
+          lines
+      in
+      Alcotest.(check bool) "a profile record rewritten" true !rewritten;
+      Out_channel.with_open_bin path (fun oc ->
+          Out_channel.output_string oc (String.concat "\n" lines));
+      let r = Store.verify (Filename.dirname path) in
+      Alcotest.(check int) "verify calls it corrupt" 1 r.Store.vr_corrupt)
+
 let test_stale_index_quarantines_all () =
   in_temp_dir @@ fun dir ->
   populate dir;
@@ -523,6 +548,7 @@ let () =
           Alcotest.test_case "stale format version quarantined" `Quick
             test_stale_format_version;
           Alcotest.test_case "foreign gram size quarantined" `Quick test_foreign_gram_size;
+          Alcotest.test_case "negative count quarantined" `Quick test_negative_count;
           Alcotest.test_case "stale index quarantines all" `Quick
             test_stale_index_quarantines_all;
           Alcotest.test_case "readonly never writes" `Quick test_readonly_never_writes;

@@ -7,8 +7,8 @@ let close ?(eps = 1e-9) expected actual =
     true
     (Float.abs (expected -. actual) < eps)
 
-let mk_column ?(owner = "t") name ty values =
-  Matching.Column.make ~owner (Attribute.make name ty) (Array.of_list values)
+let mk_column name ty values =
+  Matching.Column.make (Attribute.make name ty) (Array.of_list values)
 
 let test_column_basics () =
   let c =
