@@ -669,7 +669,7 @@ let store_report () =
     exit 1
   end
 
-(* --- Scoring kernel: indexed/partitioned vs legacy (BENCH_kernel.json) -- *)
+(* --- Scoring kernel: id-space vs row re-scan views (BENCH_kernel.json) -- *)
 
 (* Wall time of the view-scoring phase — every candidate view re-scored
    against the base matches — with the kernel on vs off, at growing
@@ -686,7 +686,7 @@ let store_report () =
    paths fails the run, making this a perf gate that can never trade
    correctness for speed. *)
 let kernel_report () =
-  R.section "Scoring kernel: indexed + partitioned view scoring vs legacy string path";
+  R.section "Scoring kernel: partitioned view scoring vs legacy row re-scan";
   R.note "expected shape: speedup grows with scale (partition reuse amortises per family)";
   let fp_scored scored =
     String.concat "\n"
@@ -1128,9 +1128,9 @@ let delta_report () =
   let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
   let book = Relational.Database.table target "Book" in
   let rows = Relational.Table.row_count book in
-  (* 1% of the table, half deletes half appends; appended rows are
-     copies of existing ones so every gram stays in the frozen
-     vocabulary and the delta patches instead of rebuilding *)
+  (* 1% of the table, half deletes half appends (appended rows are
+     copies of existing ones): well under the churn limit, so the delta
+     patches instead of rebuilding *)
   let n = max 1 (rows / 200) in
   let delta =
     Delta.make ~table:"Book"

@@ -714,12 +714,13 @@ let serve_cmd =
       `S Manpage.s_description;
       `P
         "Long-lived daemon speaking a line-delimited JSON protocol: \
-         $(b,register-target) prepares a target schema once (warmed profiles, \
-         frozen scoring kernel); $(b,match) runs ContextMatch of the posted \
-         source sample against a registered target, with the same knobs and \
-         defaults as the one-shot $(b,match) command and byte-identical \
-         results; $(b,stats) reports counters; $(b,shutdown) drains and \
-         exits.  SIGTERM/SIGINT also drain gracefully: admitted requests \
+         $(b,register-target) prepares a target schema once (warmed column \
+         profiles); $(b,update-target) patches a registered target by a row \
+         delta; $(b,match) runs ContextMatch of the posted source sample \
+         against a registered target, with the same knobs and defaults as \
+         the one-shot $(b,match) command and byte-identical results; \
+         $(b,list-targets), $(b,stats) and $(b,health) report the registry, \
+         counters and supervision state; $(b,shutdown) drains and exits.  SIGTERM/SIGINT also drain gracefully: admitted requests \
          finish, replies are written, the store is flushed.";
       `P
         "With $(b,--timeout-ms), each request gets a deadline starting at \

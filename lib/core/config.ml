@@ -43,7 +43,6 @@ let default =
   }
 
 let with_seed t seed = { t with seed }
-let with_timeout_ms t timeout_ms = { t with timeout_ms }
 let with_jobs t jobs = { t with jobs }
 let with_tau t tau = { t with tau }
 let with_omega t omega = { t with omega }

@@ -45,11 +45,11 @@ type t = {
           (default [[]]); used by the deterministic fault harness —
           see [test/faults] *)
   kernel : bool;
-      (** q-gram inverted-index scoring kernel + partitioned view profiles
-          (default true).  Scores are bit-identical either way — the
-          switch trades nothing but time, and exists for the kernel
-          bench's baseline and for differential tests; see DESIGN.md,
-          "Scoring kernel" *)
+      (** score candidate views over partition groups in their family's
+          id space instead of re-scanning rows (default true).  Scores
+          are bit-identical either way — the switch trades nothing but
+          time, and exists for the kernel bench's baseline and for
+          differential tests; see DESIGN.md, "Scoring kernel" *)
   filter : Matching.Standard_match.filter option;
       (** q-gram top-k candidate filter for the StandardMatch phase
           (default [None]: every pair is scored).  See DESIGN.md,
@@ -59,7 +59,6 @@ type t = {
 val default : t
 
 val with_seed : t -> int -> t
-val with_timeout_ms : t -> int option -> t
 val with_jobs : t -> int -> t
 val with_tau : t -> float -> t
 val with_omega : t -> float -> t

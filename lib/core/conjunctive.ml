@@ -83,10 +83,9 @@ let run ?(config = Config.default) ?(stages = 2) ~algorithm ~source ~target () =
             (config.Config.omega /. Float.pow 4.0 (float_of_int (stage_index - 1)))
         in
         (* Each stage's run builds its own StandardMatch model — and
-           with it a fresh gram dictionary and condition-attribute
-           partitions over the materialised stage tables, so the scoring
-           kernel applies to every conjunctive stage, not just the
-           first. *)
+           with it fresh condition-attribute partitions over the
+           materialised stage tables, so id-space view scoring applies
+           to every conjunctive stage, not just the first. *)
         let result =
           Context_match.run ~config:stage_config ~infer:restricted ~source:next_db ~target ()
         in

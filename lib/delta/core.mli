@@ -3,7 +3,7 @@
     A delta is a set of appended rows plus a set of deleted row indices
     (interpreted against the {e old} table, before any append).  This is
     the unit the incremental-maintenance layer patches profiles, distinct
-    sets, norms and the inverted index by — O(delta) instead of O(table). *)
+    sets and word sets by — O(delta) instead of O(table). *)
 
 type t
 

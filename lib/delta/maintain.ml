@@ -4,7 +4,6 @@ type outcome = Patched | Rebuilt of string
 
 type t = {
   m_store : Store.t option;
-  m_kernel : bool;
   m_churn : float;
   mutable m_target : Database.t;
   mutable m_prepared : Matching.Standard_match.prepared_target;
@@ -12,10 +11,11 @@ type t = {
   mutable m_generation : int;
 }
 
-let create ?store ?(kernel = true) ?(churn = 0.25) ~target ~prepared () =
+(* [kernel] has no effect; it stays in the signature for callers that
+   still pass it. *)
+let create ?store ?kernel:(_ : bool option) ?(churn = 0.25) ~target ~prepared () =
   {
     m_store = store;
-    m_kernel = kernel;
     m_churn = churn;
     m_target = target;
     m_prepared = prepared;
@@ -50,40 +50,29 @@ let update t delta =
         t.m_prepared <- prepared;
         t.m_generation <- t.m_generation + 1
       in
-      let rebuild reason =
+      let churn = Core.churn delta old_table in
+      if churn > t.m_churn then begin
         let new_table = Core.apply delta old_table in
         let target = Database.replace_table t.m_target new_table in
-        let prepared =
-          Matching.Standard_match.prepare_target ?store:t.m_store ~kernel:t.m_kernel ~target ()
-        in
+        let prepared = Matching.Standard_match.prepare_target ?store:t.m_store ~target () in
         set_state (Profiles.create new_table);
         commit target prepared;
         if !Obs.Recorder.enabled then Obs.Metrics.incr "delta.rebuilds";
-        Ok (Rebuilt reason)
-      in
-      let churn = Core.churn delta old_table in
-      if churn > t.m_churn then
-        rebuild (Printf.sprintf "churn %.3f exceeds limit %.3f" churn t.m_churn)
+        Ok (Rebuilt (Printf.sprintf "churn %.3f exceeds limit %.3f" churn t.m_churn))
+      end
       else begin
         (* [Profiles.apply] moves [st] to the new rows in place.  Should
-           it, the patch or the fallback rebuild raise, the table's
-           state goes back to the old rows, so a retry of the same
-           delta applies it once. *)
+           it or the patch raise, the table's state goes back to the old
+           rows, so a retry of the same delta applies it once. *)
         try
           Profiles.apply st delta;
-          match
+          let prepared =
             Matching.Standard_match.patch_prepared t.m_prepared ~table:(Profiles.table st)
               ~patches:(Profiles.column_patches st) ()
-          with
-          | None ->
-            (* the frozen dictionary cannot absorb the new grams; the
-               cold path can ([rebuild] reapplies the delta to the
-               untouched old table) *)
-            rebuild "out-of-vocabulary grams"
-          | Some prepared ->
-            commit (Database.replace_table t.m_target (Profiles.table st)) prepared;
-            if !Obs.Recorder.enabled then Obs.Metrics.incr "delta.patched";
-            Ok Patched
+          in
+          commit (Database.replace_table t.m_target (Profiles.table st)) prepared;
+          if !Obs.Recorder.enabled then Obs.Metrics.incr "delta.patched";
+          Ok Patched
         with e ->
           let bt = Printexc.get_raw_backtrace () in
           set_state (Profiles.create old_table);

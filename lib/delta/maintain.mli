@@ -5,12 +5,11 @@
     — the previous one is never mutated, so readers of an older
     generation stay valid and a failed update leaves no trace.  Small
     deltas take the O(delta) patch path
-    ({!Matching.Standard_match.patch_prepared}); a delta whose churn
-    exceeds the limit, or whose rows hold grams outside the frozen
-    kernel dictionary, falls back to a cold
-    {!Matching.Standard_match.prepare_target} — the two paths produce
-    bit-identical match results, which is the differential suite's
-    central claim.
+    ({!Matching.Standard_match.patch_prepared}), whatever grams their
+    rows hold; a delta whose churn exceeds the limit falls back to a
+    cold {!Matching.Standard_match.prepare_target} — the two paths
+    produce bit-identical match results, which is the differential
+    suite's central claim.
 
     With a store, an update persists only artefacts: either path
     writes the changed table's artefacts through under its new
@@ -21,8 +20,8 @@
     say), restores the table's maintained state before it escapes. *)
 
 type outcome =
-  | Patched  (** O(delta) patch of profiles, index and artefact *)
-  | Rebuilt of string  (** cold rebuild; the reason (churn, vocabulary) *)
+  | Patched  (** O(delta) patch of the maintained profiles and the artefact *)
+  | Rebuilt of string  (** cold rebuild; the reason (the churn over its limit) *)
 
 type t
 
@@ -35,11 +34,11 @@ val create :
   unit ->
   t
 (** Take over maintenance of [prepared] (built over [target]).  Scans
-    each table once to seed the maintained state.  [store] and
-    [kernel] must match what [prepared] was built with (they govern
-    rebuilds; a patch writes through the store [prepared] carries).
-    [churn] (default 0.25) is the patch/rebuild threshold on
-    {!Core.churn}. *)
+    each table once to seed the maintained state.  [store] must match
+    what [prepared] was built with (it governs rebuilds; a patch writes
+    through the store [prepared] carries).  [kernel] has no effect (it
+    is accepted for callers that still pass it).  [churn] (default
+    0.25) is the patch/rebuild threshold on {!Core.churn}. *)
 
 val update : t -> Core.t -> (outcome, string) result
 (** Apply one delta: validate, pass the fault site, then patch or

@@ -9,11 +9,6 @@ type t = {
 let select_all from where = { select = None; from; where }
 let select_some attrs from where = { select = Some attrs; from; where }
 
-let output_attributes t base_schema =
-  match t.select with
-  | None -> Schema.attribute_names base_schema
-  | Some attrs -> attrs
-
 let eval t instance =
   if not (String.equal (Table.name instance) t.from) then
     invalid_arg

@@ -12,9 +12,6 @@ type t = {
 val select_all : string -> Condition.t -> t
 val select_some : string list -> string -> Condition.t -> t
 
-val output_attributes : t -> Schema.t -> string list
-(** Attribute names of the query's output given the base schema. *)
-
 val eval : t -> Table.t -> Table.t
 (** Run against an instance of the base table; the result keeps the base
     table's name (rename it as needed).  Raises [Invalid_argument] when

@@ -14,11 +14,10 @@ type kernel_hint =
           column scored; view scoring reads the base model's raw score
           instead of calling [score] again *)
   | Qgram_cosine
-      (** [score] equals q-gram profile cosine of the pair, so a model
-          holding a {!Score_kernel} may batch-score the matcher against
-          all its indexed targets at once (bit-identical by the kernel's
-          contract), and a view over partition groups may be scored from
-          the groups' summed gram counts *)
+      (** [score] equals q-gram profile cosine of the pair, so the
+          candidate filter may reuse its retrieval probe's cosine, and a
+          view over partition groups may be scored from the groups'
+          summed gram counts *)
   | Word_jaccard
       (** [score] equals {!Textsim.Simmetrics.jaccard} of the two
           columns' {!Column.words}: a view over partition groups may be
@@ -36,7 +35,7 @@ type kernel_hint =
 type t = {
   name : string;
   weight : float;  (** relative weight in the combination step *)
-  kernel : kernel_hint;  (** batch-scoring shortcut, when one applies *)
+  kernel : kernel_hint;  (** scoring shortcut, when one applies *)
   applicable : Attribute.t -> Attribute.t -> bool;
       (** whether this matcher produces a meaningful score for a pair of
           attributes (e.g. the numeric matcher needs numeric columns) *)

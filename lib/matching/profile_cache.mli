@@ -177,8 +177,8 @@ val full_key : t -> table:string -> attr:string -> rows:int -> key
 
 val set_partitioning : t -> bool -> unit
 (** Enable scoring views over partition groups in their family's id
-    space (off by default; {!Standard_match.build} switches it on
-    together with the scoring kernel). *)
+    space (off by default; {!Standard_match.build} switches it on when
+    its [kernel] knob is on). *)
 
 val partitioning : t -> bool
 

@@ -30,9 +30,6 @@ type model = {
   (* whether this build prepared the target itself: only then are the
      target cache's lookups and builds this build's own *)
   inline_target : bool;
-  (* q-gram inverted index over the textual target columns; None when
-     the kernel is disabled or no textual target exists *)
-  kernel : Score_kernel.t option;
 }
 
 type filter = { k : int; tau : float }
@@ -73,7 +70,6 @@ let filter_of_string spec =
 
 let target m = m.target_db
 let profile_cache m = m.cache
-let kernel_enabled m = m.kernel <> None
 let pairs_scored m = m.pairs_scored
 let pairs_pruned m = m.pairs_pruned
 let coded m table attr = Profile_cache.coded m.cache ~table ~attr
@@ -87,19 +83,18 @@ let cache_stats m = (sum_caches Profile_cache.hits m, sum_caches Profile_cache.m
 let profile_builds m = sum_caches Profile_cache.builds m
 
 (* Immutable prepared-target artefact: everything [build] derives from
-   the target database alone — warmed columns, the (table, attr) index,
-   the target-side profile cache and the frozen scoring kernel.  A
-   long-lived process (the serve daemon) prepares a target once and
-   shares the artefact across requests, which then only score their own
-   source against it; [build] over the same target with the same flags
-   produces a bit-identical model either way, because the preparation
-   below is exactly the code [build] used to run inline. *)
+   the target database alone — warmed columns, the (table, attr) index
+   and the target-side profile cache.  A long-lived process (the serve
+   daemon) prepares a target once and shares the artefact across
+   requests, which then only score their own source against it;
+   [build] over the same target with the same flags produces a
+   bit-identical model either way, because the preparation below is
+   exactly the code [build] used to run inline. *)
 type prepared_target = {
   pt_target_db : Database.t;
   pt_cols : target_col list;
   pt_index : (string * string, target_col) Hashtbl.t;
   pt_cache : Profile_cache.t;
-  pt_kernel : Score_kernel.t option;
   pt_issues : Robust.Error.t list;
       (* target columns quarantined while warming, in column order;
          replayed into every consuming build's report so a run over a
@@ -107,7 +102,9 @@ type prepared_target = {
          over the same target would *)
 }
 
-let prepare_target ?store ?(kernel = true) ?(fail_fast = false) ~target () =
+(* [kernel] has no effect; it stays in the signature for callers that
+   still pass it. *)
+let prepare_target ?store ?kernel:(_ : bool option) ?(fail_fast = false) ~target () =
   Obs.Trace.with_span "prepare_target" @@ fun () ->
   let tgt_cache = Profile_cache.create () in
   (match store with
@@ -151,30 +148,6 @@ let prepare_target ?store ?(kernel = true) ?(fail_fast = false) ~target () =
   List.iter
     (fun tgt -> Hashtbl.replace target_index (tgt.table, Column.name tgt.column) tgt)
     target_cols;
-  (* Freeze the scoring kernel after the warm-up: the gram
-     dictionary and inverted index are immutable from here on, so
-     worker domains (and every later consumer) read them lock-free. *)
-  let score_kernel =
-    if not kernel then None
-    else begin
-      let textual =
-        List.filter
-          (fun tgt -> Relational.Attribute.is_textual (Column.attribute tgt.column))
-          target_cols
-      in
-      match textual with
-      | [] -> None
-      | _ ->
-        Obs.Trace.with_span "build_kernel" (fun () ->
-            Some
-              (Score_kernel.build
-                 (Array.of_list
-                    (List.map
-                       (fun tgt ->
-                         ((tgt.table, Column.name tgt.column), Column.profile tgt.column))
-                       textual))))
-    end
-  in
   (* Target columns are warm and target families are never built: the
      coded columns their artefacts were counted from would only hold
      memory for the artefact's lifetime. *)
@@ -184,7 +157,6 @@ let prepare_target ?store ?(kernel = true) ?(fail_fast = false) ~target () =
     pt_cols = target_cols;
     pt_index = target_index;
     pt_cache = tgt_cache;
-    pt_kernel = score_kernel;
     pt_issues = List.rev !rev_issues;
   }
 
@@ -203,102 +175,77 @@ type column_patch = {
 }
 
 (* Rebuild a prepared target around one replaced table without
-   re-tokenizing its text: the scoring kernel is patched (touched
-   postings rebuilt, the rest copied), the maintained artefacts are
-   seeded into a fresh target cache under the exact keys the new
-   columns will read, and every column of an unchanged table is reused
-   verbatim — its artefacts are memoised in-object and immutable.
-   [None] when the new rows hold grams outside the frozen dictionary
-   (it cannot grow); the caller must [prepare_target] cold.  The
-   original artefact is never mutated, so concurrent readers of the old
+   re-tokenizing its text: the maintained artefacts are seeded into a
+   fresh target cache under the exact keys the new columns will read,
+   and every column of an unchanged table is reused verbatim — its
+   artefacts are memoised in-object and immutable.  The original
+   artefact is never mutated, so concurrent readers of the old
    generation stay valid and a failed patch leaves no trace. *)
 let patch_prepared prepared ~table ~patches () =
   Obs.Trace.with_span "patch_prepared" @@ fun () ->
   let table_name = Table.name table in
-  let kernel_updates =
-    List.filter_map
-      (fun cp ->
-        match cp.cp_profile with
-        | Some p -> Some ((table_name, cp.cp_attr), p)
-        | None -> None)
-      patches
-  in
-  let patched_kernel =
-    match prepared.pt_kernel with
-    | None -> Some None
-    | Some k -> (
-      match Score_kernel.patch k kernel_updates with
-      | Some k' -> Some (Some k')
-      | None -> None)
-  in
-  match patched_kernel with
-  | None -> None (* out-of-vocabulary gram: the dictionary cannot grow *)
-  | Some pt_kernel ->
-    let new_db = Database.replace_table prepared.pt_target_db table in
-    let new_cache = Profile_cache.create () in
-    (match prepared.pt_cache.Profile_cache.store with
-    | None -> ()
-    | Some s ->
-      Profile_cache.attach_store new_cache s;
-      (* unchanged tables keep their digests; the patched table is
-         digested from its new rows *)
-      List.iter
-        (fun tbl ->
-          let name = Table.name tbl in
-          match Profile_cache.table_digest prepared.pt_cache name with
-          | Some d when not (String.equal name table_name) ->
-            Profile_cache.register_digest new_cache ~table:name ~digest:d
-          | Some _ | None -> Profile_cache.register_table new_cache tbl)
-        (Database.tables new_db));
-    (* Seed the maintained artefacts under the full-range keys
-       [Column.of_table] registers, so warming the rebuilt columns hits
-       the memo (and writes through to the store) instead of
-       re-scanning rows. *)
+  let new_db = Database.replace_table prepared.pt_target_db table in
+  let new_cache = Profile_cache.create () in
+  (match prepared.pt_cache.Profile_cache.store with
+  | None -> ()
+  | Some s ->
+    Profile_cache.attach_store new_cache s;
+    (* unchanged tables keep their digests; the patched table is
+       digested from its new rows *)
     List.iter
-      (fun cp ->
-        let ((tbl, attr, subset) as k) =
-          Profile_cache.full_key new_cache ~table:table_name ~attr:cp.cp_attr
-            ~rows:(Table.row_count table)
-        in
-        Option.iter (fun p -> Profile_cache.seed_profile new_cache k p) cp.cp_profile;
-        Option.iter (fun d -> Profile_cache.seed_distinct new_cache k d) cp.cp_distinct;
-        Option.iter
-          (fun w -> Profile_cache.seed_distinct new_cache (tbl, Column.words_attr attr, subset) w)
-          cp.cp_words)
-      patches;
-    (* Column order and the warm-quarantine exclusions of the original
-       preparation are preserved: unchanged tables reuse their warmed
-       columns verbatim, the patched table's surviving columns are
-       recreated against the new rows and re-warmed (cheap: the seeded
-       cache answers the textual artefacts). *)
-    let pt_cols =
-      List.map
-        (fun tgt ->
-          if not (String.equal tgt.table table_name) then tgt
-          else begin
-            let column = Column.of_table ~cache:new_cache table (Column.name tgt.column) in
-            Column.warm column;
-            { table = table_name; column }
-          end)
-        prepared.pt_cols
-    in
-    let pt_index = Hashtbl.create 64 in
-    List.iter (fun tgt -> Hashtbl.replace pt_index (tgt.table, Column.name tgt.column) tgt) pt_cols;
-    if !Obs.Recorder.enabled then Obs.Metrics.incr "prepared.patches";
-    Some
-      {
-        pt_target_db = new_db;
-        pt_cols;
-        pt_index;
-        pt_cache = new_cache;
-        pt_kernel;
-        pt_issues = prepared.pt_issues;
-      }
+      (fun tbl ->
+        let name = Table.name tbl in
+        match Profile_cache.table_digest prepared.pt_cache name with
+        | Some d when not (String.equal name table_name) ->
+          Profile_cache.register_digest new_cache ~table:name ~digest:d
+        | Some _ | None -> Profile_cache.register_table new_cache tbl)
+      (Database.tables new_db));
+  (* Seed the maintained artefacts under the full-range keys
+     [Column.of_table] registers, so warming the rebuilt columns hits
+     the memo (and writes through to the store) instead of re-scanning
+     rows. *)
+  List.iter
+    (fun cp ->
+      let ((tbl, attr, subset) as k) =
+        Profile_cache.full_key new_cache ~table:table_name ~attr:cp.cp_attr
+          ~rows:(Table.row_count table)
+      in
+      Option.iter (fun p -> Profile_cache.seed_profile new_cache k p) cp.cp_profile;
+      Option.iter (fun d -> Profile_cache.seed_distinct new_cache k d) cp.cp_distinct;
+      Option.iter
+        (fun w -> Profile_cache.seed_distinct new_cache (tbl, Column.words_attr attr, subset) w)
+        cp.cp_words)
+    patches;
+  (* Column order and the warm-quarantine exclusions of the original
+     preparation are preserved: unchanged tables reuse their warmed
+     columns verbatim, the patched table's surviving columns are
+     recreated against the new rows and re-warmed (cheap: the seeded
+     cache answers the textual artefacts). *)
+  let pt_cols =
+    List.map
+      (fun tgt ->
+        if not (String.equal tgt.table table_name) then tgt
+        else begin
+          let column = Column.of_table ~cache:new_cache table (Column.name tgt.column) in
+          Column.warm column;
+          { table = table_name; column }
+        end)
+      prepared.pt_cols
+  in
+  let pt_index = Hashtbl.create 64 in
+  List.iter (fun tgt -> Hashtbl.replace pt_index (tgt.table, Column.name tgt.column) tgt) pt_cols;
+  if !Obs.Recorder.enabled then Obs.Metrics.incr "prepared.patches";
+  {
+    pt_target_db = new_db;
+    pt_cols;
+    pt_index;
+    pt_cache = new_cache;
+    pt_issues = prepared.pt_issues;
+  }
 
 let prepared_target_db p = p.pt_target_db
 let prepared_issues p = p.pt_issues
 let prepared_columns p = List.length p.pt_cols
-let prepared_kernel p = p.pt_kernel <> None
 
 (* One fan-out unit of [build]: every raw score and the per-matcher
    normalisation stats of a single source attribute.  Pure apart from
@@ -315,39 +262,25 @@ type built_pair = {
   bp_pruned : int;
 }
 
-(* Top-k retrieval by raw q-gram cosine — shared by the candidate
-   filter and [top_qgram_matches].  With a kernel, one pass over the
-   inverted index scores only the targets sharing a gram with the
-   probe (the rest are provable zeros, costing nothing); without one,
-   every textual target is scored pairwise.  Both paths run the
-   identical exact accumulation and the identical (score desc, slot
-   asc) order, so their results coincide — the differential suite
-   asserts it.  Note [tau = 0.0] keeps zero-score textual targets in
-   both paths (0 >= 0), so a filter with a full-width k degenerates to
-   the unfiltered pipeline exactly. *)
-let qgram_candidates ~kernel ~target_cols profile ~k ~tau =
-  match kernel with
-  | Some kern -> Score_kernel.top_k kern profile ~k ~tau
-  | None ->
-    let textual =
-      List.filter
-        (fun tgt -> Relational.Attribute.is_textual (Column.attribute tgt.column))
-        target_cols
-    in
-    let scored =
-      List.mapi
-        (fun i tgt ->
-          ( i,
-            (tgt.table, Column.name tgt.column),
-            Textsim.Profile.cosine profile (Column.profile tgt.column) ))
-        textual
-    in
-    List.filter (fun (_, _, s) -> s >= tau) scored
-    |> List.sort (fun (i, _, a) (j, _, b) ->
-           let c = Float.compare b a in
-           if c <> 0 then c else Int.compare i j)
-    |> List.filteri (fun i _ -> i < k)
-    |> List.map (fun (_, name, s) -> (name, s))
+(* Top-k candidate retrieval by raw q-gram cosine for the candidate
+   filter: every textual target column is scored pairwise, and the
+   survivors come best first, equal scores in target order (the sort is
+   stable), so ties at the rank-k boundary go to the earlier target.
+   Note [tau = 0.0] keeps zero-score textual targets (0 >= 0), so a
+   filter with a full-width k degenerates to the unfiltered pipeline
+   exactly. *)
+let qgram_candidates target_cols profile ~k ~tau =
+  List.filter_map
+    (fun tgt ->
+      if Relational.Attribute.is_textual (Column.attribute tgt.column) then
+        Some
+          ( (tgt.table, Column.name tgt.column),
+            Textsim.Profile.cosine profile (Column.profile tgt.column) )
+      else None)
+    target_cols
+  |> List.filter (fun (_, s) -> s >= tau)
+  |> List.stable_sort (fun (_, a) (_, b) -> Float.compare b a)
+  |> List.filteri (fun i _ -> i < k)
 
 let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?report
     ?(deadline = Robust.Deadline.none) ?store ?(kernel = true) ?prepared ?filter ~source
@@ -372,7 +305,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
   let prepared =
     match prepared with
     | Some p -> p
-    | None -> prepare_target ?store ~kernel ~fail_fast:(report = None) ~target ()
+    | None -> prepare_target ?store ~fail_fast:(report = None) ~target ()
   in
   (match report with
   | Some r -> List.iter (Robust.Report.add r) prepared.pt_issues
@@ -381,12 +314,9 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
   let target_index = prepared.pt_index in
   let tgt_cache = prepared.pt_cache in
   (* Id-space scoring of views over partition groups rides the kernel
-     switch — the bench's kernel-off mode measures the legacy path.  A kernel
-     disabled for this build also ignores a prepared index: pruning and
-     batching decide cost only, never a score, so results stay
-     bit-identical either way. *)
+     switch — the bench's kernel-off mode measures the legacy path; the
+     scores are bit-identical either way. *)
   Profile_cache.set_partitioning cache kernel;
-  let score_kernel = if kernel then prepared.pt_kernel else None in
   let pairs =
     List.concat_map
       (fun src_tbl ->
@@ -412,9 +342,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
     let filter_cands =
       match filter with
       | Some { k; tau } when src_textual ->
-        let cands =
-          qgram_candidates ~kernel:score_kernel ~target_cols (Column.profile src_col) ~k ~tau
-        in
+        let cands = qgram_candidates target_cols (Column.profile src_col) ~k ~tau in
         let tbl = Hashtbl.create 32 in
         List.iter (fun (key, s) -> Hashtbl.replace tbl key s) cands;
         Some tbl
@@ -440,21 +368,6 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
             applicable := (tgt_table, tgt_attr, s) :: !applicable;
             scores := s :: !scores
           in
-          let filtering = filter_cands <> None && filterable in
-          (* The q-gram matcher is batch-scored through the inverted
-             index: one pass over the source profile's postings replaces
-             a merge join per target.  A target has a kernel slot iff it
-             is textual, exactly the matcher's applicability for a
-             textual source, and the batched cosines are bit-identical
-             to the pairwise ones (see {!Textsim.Gram_index}), so this
-             branch changes cost only.  Under an active filter the
-             matcher reads the filter probe's cosines instead. *)
-          let batch =
-            match (matcher.Matcher.kernel, score_kernel) with
-            | Matcher.Qgram_cosine, Some k when src_textual && not filtering ->
-              Some (k, Score_kernel.scores k (Column.profile src_col))
-            | _ -> None
-          in
           List.iter
             (fun tgt ->
               let tgt_attr = Column.name tgt.column in
@@ -470,16 +383,10 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
                 | None ->
                   incr pruned;
                   scores := 0.0 :: !scores)
-              | Some _ | None -> (
-                match batch with
-                | Some (k, arr) -> (
-                  match Score_kernel.slot k ~table:tgt.table ~attr:tgt_attr with
-                  | Some slot -> record tgt.table tgt_attr (Matcher.clamp arr.(slot))
-                  | None -> scores := 0.0 :: !scores)
-                | None ->
-                  if Matcher.applicable_pair matcher src_col tgt.column then
-                    record tgt.table tgt_attr (Matcher.score matcher src_col tgt.column)
-                  else scores := 0.0 :: !scores))
+              | Some _ | None ->
+                if Matcher.applicable_pair matcher src_col tgt.column then
+                  record tgt.table tgt_attr (Matcher.score matcher src_col tgt.column)
+                else scores := 0.0 :: !scores)
             target_cols;
           let stats =
             if !applicable <> [] then Some (Normalize.of_scores (Array.of_list !scores))
@@ -562,17 +469,7 @@ let build ?(gated = true) ?(matchers = Matchers.default_suite) ?(jobs = 1) ?repo
     cache;
     tgt_cache;
     inline_target;
-    kernel = score_kernel;
   }
-
-(* Top-k retrieval by raw q-gram cosine over an already-built model;
-   see [qgram_candidates] for the kernel/exact equivalence contract. *)
-let top_qgram_matches m ~src_table ~src_attr ~k ~tau =
-  match Hashtbl.find_opt m.source_cols (src_table, src_attr) with
-  | None -> []
-  | Some src_col when not (Relational.Attribute.is_textual (Column.attribute src_col)) -> []
-  | Some src_col ->
-    qgram_candidates ~kernel:m.kernel ~target_cols:m.target_cols (Column.profile src_col) ~k ~tau
 
 let confidence m ~src_table ~src_attr ~tgt_table ~tgt_attr =
   let weighted =

@@ -2,7 +2,9 @@
 
     [build] scores every (source attribute, target attribute) pair with
     every applicable matcher, records per-(source attribute, matcher)
-    raw-score distributions, and combines normalised confidences.
+    raw-score distributions, and combines normalised confidences.  The
+    q-gram matcher scores a base pair with the merge join of
+    {!Textsim.Profile.cosine}; there is no second q-gram scorer.
 
     [score_view] re-evaluates one accepted match with the source column
     restricted to a view's rows, converting the new raw scores with the
@@ -17,7 +19,11 @@ type filter = { k : int; tau : float }
 (** Q-gram top-k candidate filter: each textual source attribute keeps
     at most [k] textual target columns with raw q-gram cosine >= [tau],
     and the {!Matchers.filterable} matchers score their textual pairs
-    only against those survivors. *)
+    only against those survivors.  Retrieval is exact and pairwise: the
+    source column's profile is scored against every textual target
+    column, survivors are ordered by score descending, then target
+    order, so a tie at the rank-[k] boundary keeps the earlier target
+    column. *)
 
 val filter_of_string : string -> (filter option, string) result
 (** Parse a plan spec: [default] or [legacy] (no filter), [filter]
@@ -31,8 +37,8 @@ val filter_to_string : filter option -> string
 
 type prepared_target
 (** Immutable target-side artefact of {!build}: warmed target columns,
-    their (table, attr) index, the target profile cache and the frozen
-    scoring kernel.  Prepared once (registration in the serve daemon,
+    their (table, attr) index and the target profile cache.  Prepared
+    once (registration in the serve daemon,
     or inline by {!build} itself), then shared read-only across any
     number of builds — a build consuming a prepared target is
     bit-identical to one preparing the same target inline. *)
@@ -44,9 +50,9 @@ val prepare_target :
   target:Database.t ->
   unit ->
   prepared_target
-(** Warm every target column, freeze the scoring kernel over the
-    textual ones ([kernel] defaults to true), and capture the result as
-    a shareable artefact.  With a [store], target artefacts are served
+(** Warm every target column and capture the result as a shareable
+    artefact.  [kernel] has no effect (it is accepted for callers that
+    still pass it).  With a [store], target artefacts are served
     from / written through to it.  A target column whose warm-up raises
     is quarantined into {!prepared_issues} — unless [fail_fast] (default
     false), which re-raises instead (the legacy no-report contract of
@@ -67,28 +73,21 @@ val patch_prepared :
   table:Table.t ->
   patches:column_patch list ->
   unit ->
-  prepared_target option
+  prepared_target
 (** Rebuild a prepared target around one replaced [table] in O(delta):
-    the scoring kernel's touched postings are rebuilt and the rest
-    copied ({!Score_kernel.patch}), the maintained artefacts in
-    [patches] are seeded into a fresh target cache under the keys the
+    the maintained artefacts in [patches] are seeded into a fresh target cache under the keys the
     new columns read (and, when the artefact was prepared with a
     store, written through to that store under the new rows'
     {!Store.table_digest}), and columns of unchanged tables are reused
     verbatim.  Column order and the original warm
     quarantine ({!prepared_issues}) are preserved, so a build over the
     patched artefact is bit-identical to one over a cold
-    {!prepare_target} of the same database.  [None] when the new rows
-    hold grams outside the frozen kernel dictionary — the caller must
-    prepare cold.  The input artefact is never mutated. *)
+    {!prepare_target} of the same database, whatever grams the new rows
+    hold.  The input artefact is never mutated. *)
 
 val prepared_target_db : prepared_target -> Database.t
 val prepared_columns : prepared_target -> int
 (** Surviving (warmed) target columns. *)
-
-val prepared_kernel : prepared_target -> bool
-(** Whether a scoring kernel was frozen (kernel enabled and at least
-    one textual target column). *)
 
 val prepared_issues : prepared_target -> Robust.Error.t list
 (** Target columns quarantined while warming, in column order; replayed
@@ -132,24 +131,19 @@ val build :
     warm ({!profile_builds} stays 0).  The caller owns the store's
     lifecycle ({!Store.flush}).
 
-    [kernel] (default true) freezes a {!Score_kernel} over the textual
-    target columns after the warm-up — the q-gram matcher is then
-    batch-scored through its inverted index during the fan-out — and
-    scores views over partition groups in their family's id space
-    ({!Profile_cache.set_partitioning}, {!view_matches}) instead of
-    re-scanning rows.  Every score either way is bit-identical: the
-    kernel accumulates the same dot terms in the same order as the
-    string merge join, and partition counts and sets add exactly.
-    [kernel:false] selects the legacy string path (the kernel bench's
+    [kernel] (default true) scores views over partition groups in
+    their family's id space ({!Profile_cache.set_partitioning},
+    {!view_matches}) instead of re-scanning rows.  Every score either
+    way is bit-identical: partition counts and sets add exactly.
+    [kernel:false] selects the legacy row re-scan (the kernel bench's
     baseline).
 
-    With [prepared], the target-side work (warming, kernel freeze,
-    store registration of target tables) is skipped entirely and the
-    shared artefact is consumed instead — [target] should be
-    {!prepared_target_db}.  The resulting model, report and matches are
-    bit-identical to an inline build over the same target; only the
-    cost moves (to registration time, once).  [kernel:false] ignores a
-    prepared kernel for this build without affecting any score.
+    With [prepared], the target-side work (warming, store registration
+    of target tables) is skipped entirely and the shared artefact is
+    consumed instead — [target] should be {!prepared_target_db}.  The
+    resulting model, report and matches are bit-identical to an inline
+    build over the same target; only the cost moves (to registration
+    time, once).
 
     [filter] (default none: every pair is scored) retrieves top-k q-gram
     candidates per textual source attribute and restricts
@@ -165,10 +159,6 @@ val target : model -> Database.t
 val profile_cache : model -> Profile_cache.t
 (** The cache threaded through every view column this model scores. *)
 
-val kernel_enabled : model -> bool
-(** Whether the model holds a frozen {!Score_kernel} (built with
-    [kernel:true] and at least one textual target column). *)
-
 val pairs_scored : model -> int
 (** (matcher, source attribute, target column) scoring events actually
     performed; jobs-invariant. *)
@@ -176,17 +166,6 @@ val pairs_scored : model -> int
 val pairs_pruned : model -> int
 (** Scoring events skipped by the candidate filter (0 without one);
     jobs-invariant. *)
-
-val top_qgram_matches :
-  model -> src_table:string -> src_attr:string -> k:int -> tau:float ->
-  ((string * string) * float) list
-(** Up to [k] target columns by raw q-gram cosine against the source
-    column, best first, cosine >= [tau] only.  With a kernel the
-    candidates are pruned through the inverted index (targets sharing no
-    gram are skipped as provable zeros); without one every textual
-    target is scored pairwise.  Both paths return identical results —
-    pruning decides what {e not} to score, never a score's value.  [[]]
-    for unknown or non-textual source attributes. *)
 
 val coded : model -> Table.t -> string -> Textsim.Coded.t
 (** The coded column of a source table's attribute, shared with every

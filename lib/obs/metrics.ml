@@ -165,8 +165,6 @@ let snapshot () =
 let counter_value snap name =
   Option.value ~default:0 (List.assoc_opt name snap.counters)
 
-let histogram snap name = List.assoc_opt name snap.histograms
-
 let reset () =
   Mutex.lock registry_mutex;
   List.iter Hashtbl.reset !shards;

@@ -56,9 +56,5 @@ val snapshot : unit -> snapshot
 val counter_value : snapshot -> string -> int
 (** Counter by name, 0 when absent. *)
 
-val histogram : snapshot -> string -> hist_summary option
-(** Histogram summary by name (the serve daemon's stats endpoint reads
-    queue-wait and latency histograms through this). *)
-
 val reset : unit -> unit
 (** Zero every shard and drop all gauges. *)

@@ -23,9 +23,6 @@ let index_of_opt t attr_name = Hashtbl.find_opt t.index attr_name
 let index_of t attr_name =
   match index_of_opt t attr_name with Some i -> i | None -> raise Not_found
 
-let attribute_opt t attr_name =
-  match index_of_opt t attr_name with Some i -> Some t.attrs.(i) | None -> None
-
 let attribute t attr_name = t.attrs.(index_of t attr_name)
 
 let mem t attr_name = Hashtbl.mem t.index attr_name

@@ -12,8 +12,6 @@ val arity : t -> int
 val attribute : t -> string -> Attribute.t
 (** Lookup by name; raises [Not_found]. *)
 
-val attribute_opt : t -> string -> Attribute.t option
-
 val index_of : t -> string -> int
 (** Column position of an attribute; raises [Not_found]. *)
 

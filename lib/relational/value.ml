@@ -108,4 +108,3 @@ let infer s =
         | _ -> String s))
 
 let pp fmt v = Format.pp_print_string fmt (to_string v)
-let pp_ty fmt ty = Format.pp_print_string fmt (ty_to_string ty)

@@ -48,4 +48,3 @@ val infer : string -> t
     string is [Null]. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_ty : Format.formatter -> ty -> unit

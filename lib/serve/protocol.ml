@@ -31,7 +31,6 @@ type request =
   | Register_target of {
       rt_name : string;
       rt_tables : table_payload list;
-      rt_kernel : bool;
       rt_plan : Matching.Standard_match.filter option;
     }
   | Match of match_request
@@ -80,13 +79,16 @@ let tables_of json name =
   | None | Some Json.Null -> bad "bad-request" "missing required field %S" name
   | Some (Json.List l) ->
     if l = [] then bad "bad-request" "field %S must not be empty" name;
-    List.map
-      (fun entry ->
+    List.fold_left
+      (fun seen entry ->
         let tp_name = get_required Json.to_string_opt "a string" entry "name" in
         let tp_csv = get_required Json.to_string_opt "a string" entry "csv" in
         if tp_name = "" then bad "bad-request" "table name must not be empty";
-        { tp_name; tp_csv })
-      l
+        if List.exists (fun tp -> String.equal tp.tp_name tp_name) seen then
+          bad "bad-request" "duplicate table name %S" tp_name;
+        { tp_name; tp_csv } :: seen)
+      [] l
+    |> List.rev
   | Some _ -> bad "bad-request" "field %S must be a list of {name, csv} objects" name
 
 let select_of_string = function
@@ -213,7 +215,6 @@ let request_of_line line =
                  {
                    rt_name = get_required Json.to_string_opt "a string" json "name";
                    rt_tables = tables_of json "tables";
-                   rt_kernel = get_bool json "kernel" ~default:true;
                    rt_plan = Option.join (plan_of_opt json);
                  })
           | Some "match" -> Ok (Match (match_of_json json))
@@ -264,13 +265,12 @@ let tables_json tables =
          Json.Obj [ ("name", Json.String name); ("csv", Json.String csv) ])
        tables)
 
-let register_json ?(kernel = true) ?plan ~name tables =
+let register_json ?plan ~name tables =
   Json.Obj
     ([
        ("cmd", Json.String "register-target");
        ("name", Json.String name);
        ("tables", tables_json tables);
-       ("kernel", Json.Bool kernel);
      ]
     @ match plan with None -> [] | Some s -> [ ("plan", Json.String s) ])
 

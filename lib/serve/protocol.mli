@@ -5,7 +5,7 @@
 
     - [{"cmd":"ping"}] — liveness probe.
     - [{"cmd":"register-target","name":N,"tables":[{"name":..,"csv":..}],
-       "kernel":B}] — prepare a target schema once; later matches
+       "plan":S}] — prepare a target schema once; later matches
       reference it by name.  Re-registering a name replaces it.
     - [{"cmd":"match","target":N,"tables":[...],"tau":..,"omega":..,
        "late":B,"select":S,"algorithm":A,"seed":I,"jobs":I,
@@ -21,19 +21,20 @@
       booleans for bool attributes, [null] anywhere) and delete the
       given row indices (relative to the table {e before} the update).
       The target's prepared artefact is patched in O(delta) — or
-      rebuilt when the delta is too churny or holds unseen grams — and
-      subsequent matches see the new generation.
+      rebuilt when the delta is too churny — and subsequent matches
+      see the new generation.
     - [{"cmd":"list-targets"}] — the registry: every target's name,
-      update generation and circuit-breaker state.
+      update generation, table and column counts, default plan and
+      circuit-breaker state.
     - [{"cmd":"stats"}] — server counters and queue state.
     - [{"cmd":"health"}] — supervision probe: overall
       ["healthy"]/["degraded"] status, store quarantine counts, flush
       failures and per-target circuit-breaker states.
     - [{"cmd":"shutdown"}] — begin graceful shutdown (drain, flush).
 
-    Every parse or validation failure is a structured {!reject} carrying
-    a {!Robust.Error.t} (stage [Serve]) plus a machine-readable code;
-    the daemon replies and lives on. *)
+    Unknown fields are ignored.  Every parse or validation failure is a
+    structured {!reject} carrying a {!Robust.Error.t} plus a
+    machine-readable code; the daemon replies and lives on. *)
 
 type table_payload = { tp_name : string; tp_csv : string }
 
@@ -73,7 +74,6 @@ type request =
   | Register_target of {
       rt_name : string;
       rt_tables : table_payload list;
-      rt_kernel : bool;
       rt_plan : Matching.Standard_match.filter option;
           (** default candidate filter for matches against this target
               (optional "plan" field; no filter when absent) *)
@@ -88,7 +88,8 @@ type request =
 type reject = {
   rj_code : string;
       (** machine-readable: [invalid-json], [bad-request],
-          [unknown-command], [oversized], [busy], [unknown-target],
+          [unknown-command], [oversized], [ingest] (a table payload
+          that does not read as a table), [busy], [unknown-target],
           [shutting-down], [timeout], [degraded] (circuit breaker
           open), [internal] *)
   rj_error : Robust.Error.t;
@@ -115,7 +116,7 @@ val stats_json : Json.t
 val health_json : Json.t
 val shutdown_json : Json.t
 
-val register_json : ?kernel:bool -> ?plan:string -> name:string -> (string * string) list -> Json.t
+val register_json : ?plan:string -> name:string -> (string * string) list -> Json.t
 (** Tables as [(name, csv)] pairs; [plan] is a spec string
     ([default | filter[:K[,TAU]]]) setting the target's default
     candidate filter. *)

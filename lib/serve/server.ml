@@ -68,7 +68,6 @@ type work =
   | W_register of {
       w_name : string;
       w_db : Relational.Database.t;
-      w_kernel : bool;
       w_plan : Matching.Standard_match.filter option;
       w_ingest : Robust.Error.t list;
     }
@@ -279,9 +278,9 @@ let store_flush t =
       ignore (Printexc.to_string e))
   | _ -> ()
 
-let register_reply t ~name ~db ~kernel ~plan ~ingest =
-  let prepared = Matching.Standard_match.prepare_target ?store:t.store ~kernel ~target:db () in
-  let maintain = Delta.Maintain.create ?store:t.store ~kernel ~target:db ~prepared () in
+let register_reply t ~name ~db ~plan ~ingest =
+  let prepared = Matching.Standard_match.prepare_target ?store:t.store ~target:db () in
+  let maintain = Delta.Maintain.create ?store:t.store ~target:db ~prepared () in
   let entry =
     {
       te_db = db;
@@ -302,7 +301,6 @@ let register_reply t ~name ~db ~kernel ~plan ~ingest =
       ("target", Json.String name);
       ("tables", Json.Int (List.length (Relational.Database.tables db)));
       ("columns", Json.Int (Matching.Standard_match.prepared_columns prepared));
-      ("kernel", Json.Bool (Matching.Standard_match.prepared_kernel prepared));
       ("plan", Json.String (Matching.Standard_match.filter_to_string plan));
       ( "issues",
         Protocol.error_strings (ingest @ Matching.Standard_match.prepared_issues prepared) );
@@ -587,8 +585,8 @@ let execute t job =
   let reply =
     try
       match job.work with
-      | W_register { w_name; w_db; w_kernel; w_plan; w_ingest } ->
-        register_reply t ~name:w_name ~db:w_db ~kernel:w_kernel ~plan:w_plan ~ingest:w_ingest
+      | W_register { w_name; w_db; w_plan; w_ingest } ->
+        register_reply t ~name:w_name ~db:w_db ~plan:w_plan ~ingest:w_ingest
       | W_match { w_mr; w_source; w_ingest } ->
         match_reply t ~mr:w_mr ~source:w_source ~ingest:w_ingest ~deadline:job.deadline
       | W_update { w_ur } -> update_reply t ~ur:w_ur
@@ -771,7 +769,6 @@ let list_targets_reply t =
                ("generation", Json.Int (Delta.Maintain.generation e.te_maintain));
                ("tables", Json.Int (List.length (Relational.Database.tables e.te_db)));
                ("columns", Json.Int (Matching.Standard_match.prepared_columns e.te_prepared));
-               ("kernel", Json.Bool (Matching.Standard_match.prepared_kernel e.te_prepared));
                ("plan", Json.String (Matching.Standard_match.filter_to_string e.te_plan));
                ("breaker", Json.String (breaker_state_name b.b_state));
                ("failures", Json.Int b.b_failures);
@@ -844,7 +841,9 @@ let health_reply t =
    matching, and it keeps malformed-payload replies off the executor's
    critical path).  Mirrors the CLI's ingestion semantics: Strict
    raises on the first malformed row; Lenient quarantines rows but a
-   Fatal issue (unreadable input) still fails the request. *)
+   Fatal issue (unreadable input) still fails the request.  A payload
+   that cannot become a table at all (strict empty input, a header
+   naming one attribute twice) is an [ingest] reject too. *)
 exception Ingest_failed of Protocol.reject
 
 let parse_tables ~lenient tables =
@@ -852,33 +851,30 @@ let parse_tables ~lenient tables =
   let parsed =
     List.map
       (fun { Protocol.tp_name; tp_csv } ->
+        let fail fmt =
+          Printf.ksprintf
+            (fun message ->
+              raise
+                (Ingest_failed
+                   {
+                     Protocol.rj_code = "ingest";
+                     rj_error =
+                       Robust.Error.v ~severity:Robust.Error.Fatal ~table:tp_name
+                         Robust.Error.Ingest message;
+                   }))
+            fmt
+        in
         match Relational.Csv_io.table_of_csv_report ~mode ~name:tp_name tp_csv with
         | table, issues ->
           if
             List.exists
               (fun (i : Robust.Error.t) -> i.Robust.Error.severity = Robust.Error.Fatal)
               issues
-          then
-            raise
-              (Ingest_failed
-                 {
-                   Protocol.rj_code = "ingest";
-                   rj_error =
-                     Robust.Error.v ~severity:Robust.Error.Fatal ~table:tp_name
-                       Robust.Error.Ingest
-                       (Printf.sprintf "table %S unreadable even leniently" tp_name);
-                 });
+          then fail "table %S unreadable even leniently" tp_name;
           (table, issues)
         | exception Relational.Csv_io.Parse_error { line; message } ->
-          raise
-            (Ingest_failed
-               {
-                 Protocol.rj_code = "ingest";
-                 rj_error =
-                   Robust.Error.v ~severity:Robust.Error.Fatal ~table:tp_name
-                     Robust.Error.Ingest
-                     (Printf.sprintf "table %S line %d: %s" tp_name line message);
-               }))
+          fail "table %S line %d: %s" tp_name line message
+        | exception Invalid_argument message -> fail "table %S unreadable: %s" tp_name message)
       tables
   in
   (List.map fst parsed, List.concat_map snd parsed)
@@ -900,13 +896,12 @@ let handle_line t line =
     Condition.broadcast t.qc;
     Mutex.unlock t.qm;
     Json.Obj [ ("ok", Json.Bool true); ("stopping", Json.Bool true) ]
-  | Ok (Protocol.Register_target { rt_name; rt_tables; rt_kernel; rt_plan }) -> (
+  | Ok (Protocol.Register_target { rt_name; rt_tables; rt_plan }) -> (
     match parse_tables ~lenient:false rt_tables with
     | tables, ingest ->
       let db = Relational.Database.make "target" tables in
       admit t
-        (W_register
-           { w_name = rt_name; w_db = db; w_kernel = rt_kernel; w_plan = rt_plan; w_ingest = ingest })
+        (W_register { w_name = rt_name; w_db = db; w_plan = rt_plan; w_ingest = ingest })
         ~timeout_ms:None
     | exception Ingest_failed r -> reject_reply t r)
   | Ok (Protocol.Update_target ur) -> admit t (W_update { w_ur = ur }) ~timeout_ms:None

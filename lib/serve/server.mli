@@ -25,7 +25,7 @@
       pool still fans out across domains.
     - Registered targets are
       {!Matching.Standard_match.prepared_target} artefacts: warmed
-      columns, frozen kernel, store-backed profiles — prepared once,
+      columns and store-backed profiles — prepared once,
       shared by every later request, with per-request results
       bit-identical to a one-shot run over the same inputs.  An
       [update-target] request advances a target to a new generation

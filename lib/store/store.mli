@@ -57,12 +57,13 @@
     {2 Interner independence}
 
     Profiles are serialised by gram {e string}
-    ({!Textsim.Profile.counts}), never by the dense ids a scoring
-    kernel's {!Textsim.Gram_dict} assigns in-process: dictionaries are
-    per-model and per-run, while stored artefacts outlive both.  A
-    store written by a kernel run therefore warms a legacy run
-    byte-identically and vice versa, and re-reading an entry under a
-    differently-built dictionary is impossible by construction.  A
+    ({!Textsim.Profile.counts}), never by the dense ids a coded column
+    or partition family's {!Textsim.Gram_dict} assigns in-process:
+    dictionaries are per-model and per-run, while stored artefacts
+    outlive both.  A store written by a kernel run therefore warms a
+    legacy run byte-identically and vice versa, and re-reading an entry
+    under a differently-built dictionary is impossible by
+    construction.  A
     profile record also carries its gram size, always 3; a record of
     any other size is corrupt and quarantines its shard.
 

@@ -6,12 +6,6 @@ type ints = {
   i_vals : (int32, int32_elt, c_layout) Array1.t;
 }
 
-type floats = {
-  f_offsets : (int, int_elt, c_layout) Array1.t;
-  f_ids : (int32, int32_elt, c_layout) Array1.t;
-  f_vals : (float, float64_elt, c_layout) Array1.t;
-}
-
 let offsets_of_lengths lengths =
   let rows = Array.length lengths in
   let offsets = Array1.create Int c_layout (rows + 1) in
@@ -20,15 +14,6 @@ let offsets_of_lengths lengths =
     Array1.unsafe_set offsets (r + 1) (Array1.unsafe_get offsets r + lengths.(r))
   done;
   offsets
-
-let alloc_floats lengths =
-  let offsets = offsets_of_lengths lengths in
-  let nnz = Array1.get offsets (Array.length lengths) in
-  {
-    f_offsets = offsets;
-    f_ids = Array1.create Int32 c_layout nnz;
-    f_vals = Array1.create Float64 c_layout nnz;
-  }
 
 let pack_ints rows =
   let offsets = offsets_of_lengths (Array.map (fun (ids, _) -> Array.length ids) rows) in
@@ -52,14 +37,3 @@ let ints_row a r =
   let ids = Array.init n (fun k -> Int32.to_int (Array1.unsafe_get a.i_ids (lo + k))) in
   let vals = Array.init n (fun k -> Int32.to_int (Array1.unsafe_get a.i_vals (lo + k))) in
   (ids, vals)
-
-let floats_row a r =
-  let lo = Array1.get a.f_offsets r and hi = Array1.get a.f_offsets (r + 1) in
-  let n = hi - lo in
-  let ids = Array.init n (fun k -> Int32.to_int (Array1.unsafe_get a.f_ids (lo + k))) in
-  let vals = Array.init n (fun k -> Array1.unsafe_get a.f_vals (lo + k)) in
-  (ids, vals)
-
-let floats_bytes a =
-  Array1.size_in_bytes a.f_offsets + Array1.size_in_bytes a.f_ids
-  + Array1.size_in_bytes a.f_vals

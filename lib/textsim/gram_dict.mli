@@ -9,7 +9,7 @@
     same).
 
     The dictionary is frozen at construction — there is no [add].
-    {!Gram_index.build} and the coded columns build theirs once, and
+    The coded columns and the partition families build theirs once, and
     worker domains afterwards only call {!find}/{!gram}, which never
     mutate, so sharing a dictionary across a [Runtime.Pool] fan-out
     needs no locking.  Grams outside the vocabulary simply have no id;

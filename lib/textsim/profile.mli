@@ -11,8 +11,8 @@
     the gram-sorted counts in that one order, so a profile rebuilt from
     its {!counts} (the persistent store's record, a maintained multiset)
     scores bit-identically to the original, and so does every scorer
-    that visits the same grams in the same order ({!Gram_index.scores},
-    a partition family's id-space cosine). *)
+    that visits the same grams in the same order (a partition family's
+    id-space cosine).  {!cosine} is the one pairwise q-gram scorer. *)
 
 type t
 

@@ -4,10 +4,10 @@
    is that delta-maintained state is indistinguishable — bit for bit —
    from throwing everything away and recomputing over the mutated
    table.  The tests hold every layer to it: the profile/multiset
-   algebra against cold scans, the patched inverted index against cold
-   builds, patched prepared targets against cold preparation through
-   full ContextMatch runs (jobs x kernel x warm/cold store), and the
-   serve daemon's update-target against re-registering from scratch.
+   algebra against cold scans, patched prepared targets against cold
+   preparation through full ContextMatch runs (jobs x kernel x
+   warm/cold store), and the serve daemon's update-target against
+   re-registering from scratch.
    The rest covers what the maintenance layer additionally owes its
    callers: rebuild fallbacks that preserve the identity, patched
    artefacts that survive flush/reopen, crash damage that quarantines
@@ -31,65 +31,6 @@ let check_profile_eq msg a b =
     (msg ^ ": counts identical")
     true
     (Textsim.Profile.counts a = Textsim.Profile.counts b)
-
-(* --- patched inverted index vs cold rebuild ----------------------------- *)
-
-let index_strings = [| "alpha beta"; "beta gamma"; "delta alpha"; "epsilon" |]
-
-let check_index_identity msg patched cold =
-  let candidates =
-    Array.to_list (Array.map (fun s -> Textsim.Profile.of_strings [ s ]) index_strings)
-    @ [ Textsim.Profile.of_strings [ "alpha beta gamma" ]; Textsim.Profile.of_strings [] ]
-  in
-  List.iteri
-    (fun i cand ->
-      let sp, tp = Textsim.Gram_index.scores patched cand in
-      let sc, tc = Textsim.Gram_index.scores cold cand in
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: scores bitwise (cand %d)" msg i)
-        true (sp = sc);
-      Alcotest.(check int) (Printf.sprintf "%s: touched (cand %d)" msg i) tc tp)
-    candidates
-
-let test_index_patch_identity () =
-  let targets = Array.map (fun s -> Textsim.Profile.of_strings [ s ]) index_strings in
-  let idx = Textsim.Gram_index.build targets in
-  let before = Textsim.Gram_index.scores idx (Textsim.Profile.of_strings [ "alpha beta" ]) in
-  (* replacement grams drawn from existing strings: strictly in-vocab *)
-  let repl1 = Textsim.Profile.of_strings [ "alpha beta"; "delta alpha" ] in
-  let repl3 = Textsim.Profile.of_strings [ "beta gamma"; "beta gamma" ] in
-  (match Textsim.Gram_index.patch idx [ (1, repl1); (3, repl3) ] with
-  | None -> Alcotest.fail "in-vocab patch returned None"
-  | Some patched ->
-    let new_targets = Array.copy targets in
-    new_targets.(1) <- Textsim.Profile.of_strings [ "alpha beta"; "delta alpha" ];
-    new_targets.(3) <- Textsim.Profile.of_strings [ "beta gamma"; "beta gamma" ];
-    let cold = Textsim.Gram_index.build new_targets in
-    check_index_identity "mixed patch" patched cold);
-  (* the original index is untouched by patching *)
-  let after = Textsim.Gram_index.scores idx (Textsim.Profile.of_strings [ "alpha beta" ]) in
-  Alcotest.(check bool) "original index untouched" true (before = after)
-
-(* Delete-heavy: a slot emptied out leaves dangling dictionary grams
-   whose postings are empty — they must stay score-neutral. *)
-let test_index_patch_emptied_slot () =
-  let targets = Array.map (fun s -> Textsim.Profile.of_strings [ s ]) index_strings in
-  let idx = Textsim.Gram_index.build targets in
-  match Textsim.Gram_index.patch idx [ (0, Textsim.Profile.of_strings []) ] with
-  | None -> Alcotest.fail "emptying patch returned None"
-  | Some patched ->
-    let new_targets = Array.copy targets in
-    new_targets.(0) <- Textsim.Profile.of_strings [] ;
-    (* the cold build's dictionary is smaller (slot 0's unique grams are
-       gone entirely) — scores must be bitwise equal regardless *)
-    let cold = Textsim.Gram_index.build new_targets in
-    check_index_identity "emptied slot" patched cold
-
-let test_index_patch_out_of_vocab () =
-  let targets = Array.map (fun s -> Textsim.Profile.of_strings [ s ]) index_strings in
-  let idx = Textsim.Gram_index.build targets in
-  Alcotest.(check bool) "unseen grams force a rebuild" true
-    (Textsim.Gram_index.patch idx [ (0, Textsim.Profile.of_strings [ "zzqqxxjj" ]) ] = None)
 
 (* --- the delta value itself --------------------------------------------- *)
 
@@ -306,8 +247,8 @@ let match_strings ?(jobs = 1) ?(kernel = true) ?store ?prepared ~target () =
   ( List.map Matching.Schema_match.to_string r.Ctxmatch.Context_match.matches,
     List.map Robust.Error.to_string r.Ctxmatch.Context_match.issues )
 
-(* Copies of existing rows keep every gram in the frozen vocabulary, so
-   the delta stays on the patch path. *)
+(* Copies of existing rows: small deltas of them stay under the churn
+   limit, so they take the patch path. *)
 let copy_rows tbl indices = Array.map (fun i -> (Table.rows tbl).(i)) indices
 
 let expect_patched m d =
@@ -367,8 +308,9 @@ let test_maintain_differential_store () =
 let test_maintain_differential_store_nokernel () =
   in_temp_dir @@ fun dir -> run_maintain_differential ~kernel:false ~store_dir:(Some dir) ()
 
-(* Rebuild fallbacks: a churny delta and an out-of-vocabulary delta
-   both rebuild cold — and the identity must hold either way. *)
+(* Rebuild fallbacks: a churny delta rebuilds cold, while an append of
+   grams the target has never held patches like any other small delta
+   — and the identity with a cold run must hold either way. *)
 let test_maintain_rebuild_fallbacks () =
   let prepared = Matching.Standard_match.prepare_target ~target:target_db () in
   let m = Delta.Maintain.create ~churn:0.05 ~target:target_db ~prepared () in
@@ -382,28 +324,25 @@ let test_maintain_rebuild_fallbacks () =
       (String.length reason >= 5 && String.sub reason 0 5 = "churn")
   | Ok Delta.Maintain.Patched -> Alcotest.fail "churny delta took the patch path"
   | Error e -> Alcotest.failf "update failed: %s" e);
-  (* out-of-vocabulary append on a permissive churn limit *)
+  (* an append of grams no target column holds (out of vocabulary), on
+     a permissive churn limit *)
   let m2 = Delta.Maintain.create ~churn:0.5 ~target:target_db ~prepared () in
   let oov_row =
     let r = Array.copy (Table.rows book).(0) in
     r.(1) <- Value.String "zzqqxxjj wwkkvvyy";
     r
   in
-  (match Delta.Maintain.update m2 (Delta.make ~table:"Book" ~appends:[| oov_row |] ~deletes:[||]) with
-  | Ok (Delta.Maintain.Rebuilt reason) ->
-    Alcotest.(check string) "reason names the vocabulary" "out-of-vocabulary grams" reason
-  | Ok Delta.Maintain.Patched -> Alcotest.fail "out-of-vocabulary delta took the patch path"
-  | Error e -> Alcotest.failf "update failed: %s" e);
+  expect_patched m2 (Delta.make ~table:"Book" ~appends:[| oov_row |] ~deletes:[||]);
   List.iter
-    (fun mm ->
+    (fun (what, mm) ->
       let mutated = Delta.Maintain.target mm in
       let want, want_issues = match_strings ~target:mutated () in
       let got, got_issues =
         match_strings ~prepared:(Delta.Maintain.prepared mm) ~target:mutated ()
       in
-      Alcotest.(check (list string)) "rebuilt matches = cold" want got;
-      Alcotest.(check (list string)) "rebuilt issues = cold" want_issues got_issues)
-    [ m; m2 ];
+      Alcotest.(check (list string)) (what ^ " matches = cold") want got;
+      Alcotest.(check (list string)) (what ^ " issues = cold") want_issues got_issues)
+    [ ("rebuilt", m); ("out-of-vocabulary patched", m2) ];
   (* rejected deltas leave the state alone *)
   (match Delta.Maintain.update m (Delta.make ~table:"NoSuch" ~appends:[||] ~deletes:[| 0 |]) with
   | Error _ -> ()
@@ -794,12 +733,6 @@ let () =
       ( "profile-algebra",
         [
           Alcotest.test_case "patch inverts exactly" `Quick test_profile_patch_inverts;
-        ] );
-      ( "index-patch",
-        [
-          Alcotest.test_case "patched = cold rebuild, bitwise" `Quick test_index_patch_identity;
-          Alcotest.test_case "emptied slot stays neutral" `Quick test_index_patch_emptied_slot;
-          Alcotest.test_case "out-of-vocab refuses" `Quick test_index_patch_out_of_vocab;
         ] );
       ( "delta-core",
         [ Alcotest.test_case "validate and apply" `Quick test_core_validate_apply ] );

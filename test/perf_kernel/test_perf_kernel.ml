@@ -1,97 +1,16 @@
 (* Differential oracle for the scoring kernel (DESIGN.md, "Scoring
-   kernel").  Every fast path — batch scoring through the gram inverted
-   index, top-k retrieval over the batch scores, view profiles composed
-   from condition-attribute partitions — must produce results
-   *bit-identical* to the pairwise path ([Profile.cosine], row
-   re-scans): same grams, same counts, same float bits.  Floats are
-   compared via their IEEE bits (or %h fingerprints), so any
-   accumulation-order drift fails loudly, not just drift above an
-   epsilon. *)
+   kernel").  Every fast path — view scores composed from
+   condition-attribute partitions in their family's id space — must
+   produce results *bit-identical* to the pairwise path
+   ([Profile.cosine] over row re-scans): same grams, same counts, same
+   float bits.  Floats are compared via their IEEE bits (or %h
+   fingerprints), so any accumulation-order drift fails loudly, not
+   just drift above an epsilon. *)
 
 open Relational
 
 let check_bits what a b =
   Alcotest.(check string) what (Printf.sprintf "%h" a) (Printf.sprintf "%h" b)
-
-let corpus =
-  [
-    [ "Systems of Highway Engineering"; "Aerodynamics for Engineers"; "The Art of OCaml" ];
-    [ "Greatest Hits Vol. 2"; "Live at the Fillmore"; "Symphony No. 9 in D minor" ];
-    [ "aaa"; "aab"; "aba" ];
-    [ "" ];
-    [];
-    [ "xyzzy" ];
-  ]
-
-(* --- inverted index ---------------------------------------------------- *)
-
-let index_fixture () =
-  let targets = List.map Textsim.Profile.of_strings corpus |> Array.of_list in
-  let index = Textsim.Gram_index.build targets in
-  let candidates =
-    List.map Textsim.Profile.of_strings
-      ([ "Highway Engineers of OCaml" ] :: [ "Qqq Www" ] :: [ "" ] :: corpus)
-  in
-  (targets, index, candidates)
-
-let test_index_scores () =
-  let targets, index, candidates = index_fixture () in
-  List.iteri
-    (fun ci cand ->
-      let scores, touched = Textsim.Gram_index.scores index cand in
-      Alcotest.(check int) "one score per target" (Array.length targets) (Array.length scores);
-      Alcotest.(check bool) "touched within range" true
-        (touched >= 0 && touched <= Array.length targets);
-      Array.iteri
-        (fun s tgt ->
-          check_bits
-            (Printf.sprintf "cand %d vs target %d" ci s)
-            (Textsim.Profile.cosine cand tgt)
-            scores.(s))
-        targets)
-    candidates;
-  (* a candidate sharing no gram is never accumulated: all zeros, all
-     pruned *)
-  let scores, touched = Textsim.Gram_index.scores index (Textsim.Profile.of_strings [ "QQQ" ]) in
-  Alcotest.(check int) "disjoint candidate touches nothing" 0 touched;
-  Array.iter (fun s -> check_bits "disjoint scores are exact zeros" 0.0 s) scores
-
-let target_name i = ("t", Printf.sprintf "a%d" i)
-
-let kernel_of targets =
-  Matching.Score_kernel.build (Array.mapi (fun i p -> (target_name i, p)) targets)
-
-(* Exhaustive top-k oracle: pairwise string-path cosine against every
-   target, then filter by [tau], sort (score desc, slot asc), take [k]. *)
-let exhaustive_top_k targets cand ~k ~tau =
-  Array.to_list targets
-  |> List.mapi (fun i t -> (i, Textsim.Profile.cosine cand t))
-  |> List.filter (fun (_, s) -> s >= tau)
-  |> List.sort (fun (i, a) (j, b) ->
-         let c = Float.compare b a in
-         if c <> 0 then c else Int.compare i j)
-  |> List.filteri (fun i _ -> i < k)
-  |> List.map (fun (i, s) -> (target_name i, s))
-
-let test_top_k_equals_exhaustive () =
-  let targets, _, candidates = index_fixture () in
-  let kern = kernel_of targets in
-  List.iteri
-    (fun ci cand ->
-      List.iter
-        (fun (k, tau) ->
-          let oracle = exhaustive_top_k targets cand ~k ~tau in
-          let got = Matching.Score_kernel.top_k kern cand ~k ~tau in
-          Alcotest.(check int)
-            (Printf.sprintf "cand %d k=%d tau=%.2f: size" ci k tau)
-            (List.length oracle) (List.length got);
-          List.iter2
-            (fun (n, s) (n', s') ->
-              Alcotest.(check (pair string string)) "target" n n';
-              check_bits "score" s s')
-            oracle got)
-        [ (1, 0.0); (3, 0.0); (100, 0.0); (3, 0.2); (3, 0.99); (0, 0.0) ])
-    candidates
 
 (* --- partitioned view scoring --------------------------------------- *)
 
@@ -328,85 +247,14 @@ let test_store_interner_independent () =
   ignore (warm ~kernel:false "legacy-healed store" 0);
   ignore (warm ~kernel:true "legacy-healed store" 0)
 
-(* --- model-level top-k ------------------------------------------------- *)
-
-let test_model_top_k () =
-  let params = { Workload.Retail.default_params with rows = 120; target_rows = 60 } in
-  let source = Workload.Retail.source params in
-  let target = Workload.Retail.target params Workload.Retail.Ryan_eyers in
-  let pruned = Matching.Standard_match.build ~kernel:true ~source ~target () in
-  let exhaustive = Matching.Standard_match.build ~kernel:false ~source ~target () in
-  Alcotest.(check bool) "kernel model holds an index" true
-    (Matching.Standard_match.kernel_enabled pruned);
-  Alcotest.(check bool) "legacy model holds none" false
-    (Matching.Standard_match.kernel_enabled exhaustive);
-  let fp l =
-    String.concat ";" (List.map (fun ((t, a), s) -> Printf.sprintf "%s.%s=%h" t a s) l)
-  in
-  let src_tbl = Database.table source Workload.Retail.source_table_name in
-  List.iter
-    (fun src_attr ->
-      List.iter
-        (fun (k, tau) ->
-          Alcotest.(check string)
-            (Printf.sprintf "top-%d tau=%.2f of %s pruned = exhaustive" k tau src_attr)
-            (fp
-               (Matching.Standard_match.top_qgram_matches exhaustive
-                  ~src_table:Workload.Retail.source_table_name ~src_attr ~k ~tau))
-            (fp
-               (Matching.Standard_match.top_qgram_matches pruned
-                  ~src_table:Workload.Retail.source_table_name ~src_attr ~k ~tau)))
-        [ (1, 0.0); (3, 0.0); (50, 0.0); (3, 0.3); (3, 0.95) ])
-    (Schema.attribute_names (Table.schema src_tbl))
-
-(* --- patched index ------------------------------------------------------- *)
-
-(* 13 targets sharing a common phrase and a repeated "dup" run. *)
-let patch_targets =
-  Array.init 13 (fun i ->
-      Textsim.Profile.of_strings
-        [
-          Printf.sprintf "row %d common payload" i;
-          String.concat " " (List.init ((i mod 4) + 1) (fun _ -> "dup dup dup"));
-        ])
-
-let patch_candidates =
-  List.map Textsim.Profile.of_strings
-    [ [ "row 7 common payload" ]; [ "dup dup" ]; [ "unrelated" ] ]
-
-(* Patching a slot down to the empty profile empties every posting row
-   of its private grams; those rows must stay score-neutral and the
-   patched index bit-identical to a cold build over the mutated
-   targets. *)
-let test_patch_emptied_slots () =
-  let index = Textsim.Gram_index.build patch_targets in
-  let empty = Textsim.Profile.of_strings [] in
-  let replacement = Textsim.Profile.of_strings [ "row 3 common payload" ] in
-  match Textsim.Gram_index.patch index [ (4, empty); (9, replacement) ] with
-  | None -> Alcotest.fail "patch unexpectedly fell back"
-  | Some patched ->
-    let mutated = Array.copy patch_targets in
-    mutated.(4) <- empty;
-    mutated.(9) <- replacement;
-    let cold = Textsim.Gram_index.build mutated in
-    List.iteri
-      (fun ci cand ->
-        let want, want_touched = Textsim.Gram_index.scores cold cand in
-        let got, got_touched = Textsim.Gram_index.scores patched cand in
-        Alcotest.(check int) (Printf.sprintf "cand %d touched" ci) want_touched got_touched;
-        Array.iteri
-          (fun i w -> check_bits (Printf.sprintf "cand %d slot %d" ci i) w got.(i))
-          want)
-      patch_candidates
-
 (* --- wide targets -------------------------------------------------------- *)
 
-(* Retail has 6 textual target columns; this target has 320, so batch
+(* Retail has 6 textual target columns; this target has 320, so q-gram
    scoring and the candidate filter's probes dominate the build.  A
    source with a few textual attributes (and one numeric) must build
    the same model at every jobs count, kernel on or off, under each
-   filter: the same matches bit for bit, the same pairs accounting and
-   the same q-gram retrieval. *)
+   filter: the same matches bit for bit and the same pairs
+   accounting. *)
 let wide_dbs () =
   let words = [| "alpha"; "bravo"; "charlie"; "delta"; "echo"; "foxtrot"; "golf"; "hotel" |] in
   let cell c r =
@@ -427,7 +275,6 @@ let wide_dbs () =
 
 let test_wide_target_identical () =
   let source, target = wide_dbs () in
-  let src_attrs = [ "c0"; "c1"; "c2" ] in
   let model ~jobs ~kernel filter =
     Matching.Standard_match.build ~jobs ~kernel ?filter ~source ~target ()
   in
@@ -437,16 +284,7 @@ let test_wide_target_identical () =
       @ [
           Printf.sprintf "scored=%d pruned=%d" (Matching.Standard_match.pairs_scored m)
             (Matching.Standard_match.pairs_pruned m);
-        ]
-      @ List.concat_map
-          (fun src_attr ->
-            List.map
-              (fun (k, tau) ->
-                Matching.Standard_match.top_qgram_matches m ~src_table:"src" ~src_attr ~k ~tau
-                |> List.map (fun ((t, a), s) -> Printf.sprintf "%s.%s=%h" t a s)
-                |> String.concat ";")
-              [ (3, 0.0); (3, 0.2); (400, 0.0) ])
-          src_attrs)
+        ])
   in
   List.iter
     (fun filter ->
@@ -471,22 +309,6 @@ let words_gen =
   QCheck.Gen.(
     list_size (0 -- 4) (string_size (1 -- 8) ~gen:(char_range 'a' 'e'))
     |> map (String.concat " "))
-
-let qcheck_topk =
-  let gen =
-    QCheck.Gen.(
-      triple
-        (list_size (1 -- 30) (small_list words_gen))
-        (small_list words_gen)
-        (pair (0 -- 40) (0 -- 10)))
-  in
-  QCheck.Test.make ~name:"top_k = exhaustive filter/sort/take" ~count:200 (QCheck.make gen)
-    (fun (targets, cand, (kk, tau10)) ->
-      let tau = float_of_int tau10 /. 10.0 in
-      let targets = Array.of_list (List.map Textsim.Profile.of_strings targets) in
-      let cand = Textsim.Profile.of_strings cand in
-      let got = Matching.Score_kernel.top_k (kernel_of targets) cand ~k:kk ~tau in
-      exhaustive_top_k targets cand ~k:kk ~tau = got)
 
 (* CSR family composition round-trip: for random partitioned tables and
    random slot subsets, the arena-composed counts must be the exact
@@ -743,11 +565,6 @@ let test_view_column_key () =
 let () =
   Alcotest.run "perf_kernel"
     [
-      ( "index",
-        [
-          Alcotest.test_case "batch scores bit-identical" `Quick test_index_scores;
-          Alcotest.test_case "top-k = exhaustive" `Quick test_top_k_equals_exhaustive;
-        ] );
       ( "partitions",
         [
           Alcotest.test_case "composed view artefacts" `Quick test_partition_compose;
@@ -762,18 +579,13 @@ let () =
           Alcotest.test_case "kernel x jobs identical" `Slow test_end_to_end_identical;
           Alcotest.test_case "store interner-independent" `Slow test_store_interner_independent;
         ] );
-      ("top-k", [ Alcotest.test_case "model top-k pruned = exhaustive" `Quick test_model_top_k ]);
       ( "wide",
         [
           Alcotest.test_case "wide target: jobs x kernel x filter identical" `Quick
             test_wide_target_identical;
         ] );
-      ( "blocks",
-        [ Alcotest.test_case "emptied-slot patch = cold rebuild" `Quick test_patch_emptied_slots ]
-      );
       ( "properties",
         [
-          QCheck_alcotest.to_alcotest qcheck_topk;
           QCheck_alcotest.to_alcotest qcheck_compose;
           QCheck_alcotest.to_alcotest qcheck_view_scores;
         ] );

@@ -163,33 +163,44 @@ let test_filtered_jobs_invariance () =
 
 (* --- determinism regressions (scoring path) ----------------------------- *)
 
-(* Exact tie at the top-k boundary: identical profiles in every slot.
-   The cut must fall deterministically — score descending, then slot
-   ascending — not wherever the heap happened to leave things. *)
+let check_bits what a b =
+  Alcotest.(check string) what (Printf.sprintf "%h" a) (Printf.sprintf "%h" b)
+
+(* Exact tie at the top-k boundary: three textual target columns with
+   identical values, so every q-gram cosine against the source ties.
+   The cut must fall deterministically — score descending, then target
+   order — so under k = 2 the first two columns keep their q-gram score
+   and the third is pruned. *)
 let test_topk_exact_tie () =
-  let p () = Textsim.Profile.of_strings [ "alpha beta" ] in
-  let idx = Textsim.Gram_index.build [| p (); p (); p () |] in
-  let cand = p () in
-  let hits =
-    Textsim.Gram_index.select (fst (Textsim.Gram_index.scores idx cand)) ~k:2 ~tau:0.0
+  let text_table name attrs =
+    Table.make
+      (Schema.make name (List.map Attribute.string attrs))
+      [ Array.of_list (List.map (fun _ -> Value.String "alpha beta") attrs) ]
   in
-  (match hits with
-  | [ (s0, c0); (s1, c1) ] ->
-    Alcotest.(check int) "first slot" 0 s0;
-    Alcotest.(check int) "second slot" 1 s1;
-    Alcotest.(check bool) "scores tied" true (c0 = c1)
-  | _ -> Alcotest.fail "expected exactly k hits");
-  (* the same tie through the kernel: target slot order *)
-  let col name =
-    ( ("t", name),
-      Textsim.Profile.of_strings [ "alpha beta" ] )
+  let source = Database.make "src" [ text_table "s" [ "v" ] ] in
+  let target = Database.make "tgt" [ text_table "t" [ "a"; "b"; "c" ] ] in
+  let build k =
+    Matching.Standard_match.build ~matchers:[ Matching.Matchers.qgram_matcher ]
+      ~filter:{ Matching.Standard_match.k; tau = 0.0 } ~source ~target ()
   in
-  let kern = Matching.Score_kernel.build [| col "a"; col "b"; col "c" |] in
-  match Matching.Score_kernel.top_k kern cand ~k:2 ~tau:0.0 with
-  | [ ((_, n0), _); ((_, n1), _) ] ->
-    Alcotest.(check string) "kernel first" "a" n0;
-    Alcotest.(check string) "kernel second" "b" n1
-  | _ -> Alcotest.fail "kernel: expected exactly k hits"
+  let confidence m tgt_attr =
+    Matching.Standard_match.confidence m ~src_table:"s" ~src_attr:"v" ~tgt_table:"t" ~tgt_attr
+  in
+  let m = build 2 in
+  Alcotest.(check (pair int int)) "k=2: scored, pruned" (2, 1)
+    (Matching.Standard_match.pairs_scored m, Matching.Standard_match.pairs_pruned m);
+  Alcotest.(check bool) "first column kept" true (confidence m "a" > 0.0);
+  check_bits "second column ties the first" (confidence m "a") (confidence m "b");
+  check_bits "third column pruned" 0.0 (confidence m "c");
+  (* a full-width filter keeps all three, tied *)
+  let full = build 3 in
+  Alcotest.(check (pair int int)) "k=3: scored, pruned" (3, 0)
+    (Matching.Standard_match.pairs_scored full, Matching.Standard_match.pairs_pruned full);
+  List.iter
+    (fun attr ->
+      Alcotest.(check bool) (attr ^ " kept") true (confidence full attr > 0.0);
+      check_bits (attr ^ " ties the first") (confidence full "a") (confidence full attr))
+    [ "b"; "c" ]
 
 let mk_column name ty values =
   Matching.Column.make (Attribute.make name ty) (Array.of_list values)

@@ -105,8 +105,8 @@ let int_field json name =
   | Some i -> i
   | None -> Alcotest.failf "field %S is not an int" name
 
-let register client ?kernel ?(name = "retail") ?(tables = target_payload) () =
-  let reply = Serve.Client.request client (Serve.Protocol.register_json ?kernel ~name tables) in
+let register client ?(name = "retail") ?(tables = target_payload) () =
+  let reply = Serve.Client.request client (Serve.Protocol.register_json ~name tables) in
   expect_ok reply;
   reply
 
@@ -271,6 +271,31 @@ let test_protocol_robustness () =
   (* strict-mode CSV failure is an ingest reject, not a dead daemon *)
   expect_reject ~code:"ingest"
     (req "{\"cmd\":\"register-target\",\"name\":\"bad\",\"tables\":[{\"name\":\"a\",\"csv\":\"h1,h2\\nonly-one\"}]}");
+  (* payloads that cannot become a table or a database: an unreadable
+     table is an ingest reject, two tables of one name a bad request,
+     and the connection keeps serving after each *)
+  let errors () = (Serve.Server.counters server).Serve.Server.c_protocol_errors in
+  let before = errors () in
+  let payloads =
+    [
+      ("ingest", "{\"cmd\":\"register-target\",\"name\":\"bad\",\"tables\":[{\"name\":\"a\",\"csv\":\"\"}]}");
+      ("ingest", "{\"cmd\":\"match\",\"target\":\"t\",\"tables\":[{\"name\":\"a\",\"csv\":\"\"}]}");
+      ( "bad-request",
+        "{\"cmd\":\"register-target\",\"name\":\"bad\",\"tables\":[{\"name\":\"a\",\"csv\":\"h\\n1\"},{\"name\":\"a\",\"csv\":\"h\\n2\"}]}" );
+      ( "bad-request",
+        "{\"cmd\":\"match\",\"target\":\"t\",\"tables\":[{\"name\":\"a\",\"csv\":\"h\\n1\"},{\"name\":\"a\",\"csv\":\"h\\n2\"}]}" );
+      ("ingest", "{\"cmd\":\"register-target\",\"name\":\"bad\",\"tables\":[{\"name\":\"a\",\"csv\":\"x,x\\n1,2\"}]}");
+      ( "ingest",
+        "{\"cmd\":\"match\",\"target\":\"t\",\"lenient\":true,\"tables\":[{\"name\":\"a\",\"csv\":\"x,x\\n1,2\"}]}" );
+    ]
+  in
+  List.iter
+    (fun (code, line) ->
+      expect_reject ~code (req line);
+      expect_ok (Serve.Client.request client Serve.Protocol.ping_json))
+    payloads;
+  Alcotest.(check int) "each payload reject counted as a protocol error"
+    (List.length payloads) (errors () - before);
   (* oversized line: rejected, discarded, connection still usable *)
   let big = String.make 8192 'x' in
   expect_reject ~code:"oversized" (req ("{\"cmd\":\"ping\",\"pad\":\"" ^ big ^ "\"}"));
@@ -289,7 +314,7 @@ let test_protocol_robustness () =
   ignore (string_list reply "matches");
   let c = Serve.Server.counters server in
   Alcotest.(check bool) "protocol errors were counted" true
-    (c.Serve.Server.c_protocol_errors >= 11)
+    (c.Serve.Server.c_protocol_errors >= 17)
 
 (* A client that vanishes mid-request (truncated line, no newline, then
    hard close) must not wedge or kill the daemon. *)

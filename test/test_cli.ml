@@ -251,8 +251,8 @@ let test_plan_flag () =
             (contains output "default | filter[:K[,TAU]]"))
         [ "auto"; "filter:0" ])
 
-(* A filtered run's metrics carry the measured kernel counters and the
-   pairs accounting, and no per-matcher-class scoring-time series. *)
+(* A filtered run's metrics carry the pairs accounting, and no
+   per-matcher-class scoring-time series. *)
 let test_filter_metrics () =
   in_temp_dir (fun dir ->
       textual_fixture dir;
@@ -269,7 +269,7 @@ let test_filter_metrics () =
       List.iter
         (fun field ->
           Alcotest.(check bool) ("metrics has " ^ field) true (contains metrics field))
-        [ "kernel.arena.bytes"; "kernel.topk.queries"; "plan.pairs_scored"; "plan.pairs_pruned" ];
+        [ "plan.pairs_scored"; "plan.pairs_pruned" ];
       Alcotest.(check bool) "no scoring-time series" false (contains metrics "plan.score_ns"))
 
 let test_bad_input_fails () =
